@@ -30,11 +30,13 @@ import asyncio
 
 from ..core import wire
 from ..core.credentials import CredentialRef
-from ..core.service import Presentation
+from ..core.service import ActivationRequest, Presentation
 from ..core.state import ref_payload
+from ..core.types import PrincipalId
 from ..crypto.challenge import ChallengeResponseClient, IssuedChallenge
 from ..crypto.keys import KeyPair
 from ..events import Event
+from ..ops import activation_payload, presentation_payloads
 from .protocol import (
     MAX_FRAME,
     ConnectionLost,
@@ -46,29 +48,9 @@ from .protocol import (
 )
 from .runtime import LoopThread
 
-__all__ = ["AsyncOasisClient", "OasisClient", "RemoteNetwork",
-           "presentation_payload"]
+__all__ = ["AsyncOasisClient", "OasisClient", "RemoteNetwork"]
 
 CertificateLike = Union[Presentation, Any]
-
-
-def presentation_payload(credential: CertificateLike) -> Dict[str, Any]:
-    """A presented credential as its wire dict (bare certificates are
-    wrapped in a default :class:`Presentation` first)."""
-    if not isinstance(credential, Presentation):
-        credential = Presentation(credential)
-    payload: Dict[str, Any] = {
-        "cert": wire.encode_certificate(credential.certificate)}
-    if credential.holder is not None:
-        payload["holder"] = credential.holder
-    if credential.on_behalf_of is not None:
-        payload["on_behalf_of"] = credential.on_behalf_of
-    return payload
-
-
-def _credential_payloads(credentials: Sequence[CertificateLike]
-                         ) -> List[Dict[str, Any]]:
-    return [presentation_payload(credential) for credential in credentials]
 
 
 class AsyncOasisClient:
@@ -304,15 +286,9 @@ class OasisClient:
                  credentials: Sequence[CertificateLike] = (),
                  environment: Optional[Dict[str, Any]] = None,
                  session: Optional[str] = None) -> Any:
-        request: Dict[str, Any] = {"principal": principal, "role": role}
-        if parameters is not None:
-            request["parameters"] = list(parameters)
-        if credentials:
-            request["credentials"] = _credential_payloads(credentials)
-        if environment is not None:
-            request["environment"] = environment
-        if session is not None:
-            request["session"] = session
+        request = activation_payload(ActivationRequest(
+            PrincipalId(principal), role, parameters, credentials,
+            environment, session))
         value = self.call("activate", service=service, request=request)
         return wire.decode_certificate(value["cert"])
 
@@ -330,7 +306,7 @@ class OasisClient:
         value = self.call(
             "appoint", service=service, appointer=appointer, name=name,
             parameters=list(parameters),
-            credentials=_credential_payloads(credentials),
+            credentials=presentation_payloads(credentials),
             holder=holder, expires_at=expires_at)
         return wire.decode_certificate(value["cert"])
 
@@ -340,7 +316,7 @@ class OasisClient:
         value = self.call(
             "invoke", service=service, principal=principal, method=method,
             arguments=list(arguments),
-            credentials=_credential_payloads(credentials))
+            credentials=presentation_payloads(credentials))
         return value["result"]
 
     def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:

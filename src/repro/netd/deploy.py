@@ -25,12 +25,13 @@ import socket
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.service import ServiceRegistry
 from ..events import EventBroker
-from ..obs.runtime import Observability, disable, enable
+from ..obs.runtime import Observability, observed
 from .client import OasisClient, RemoteNetwork
 from .events import EventChannel
 from .protocol import OasisNetError
@@ -92,13 +93,13 @@ class NodeSpec:
 
 def serve_node(spec: NodeSpec) -> None:
     """Run one served node to completion (blocking)."""
-    pipeline: Optional[Observability] = None
-    if spec.observed:
-        # Node-prefixed span ids: each process mints globally unique ids
-        # a driver can merge with Tracer.adopt (same scheme as shards).
-        pipeline = Observability(trace_id_prefix=f"{spec.name}.")
-        enable(pipeline)
-    try:
+    # Node-prefixed span ids: each process mints globally unique ids a
+    # caller can merge with Tracer.adopt (same scheme as shards).
+    # Services snapshot the pipeline at construction, so it is installed
+    # only while the world is built.
+    pipeline = (Observability(trace_id_prefix=f"{spec.name}.")
+                if spec.observed else None)
+    with observed(pipeline) if pipeline is not None else nullcontext():
         broker = EventBroker()
         registry = ServiceRegistry()
         network = RemoteNetwork(spec.name, peers=spec.peers)
@@ -112,14 +113,9 @@ def serve_node(spec: NodeSpec) -> None:
         # certificate.
         for service in world.services.values():
             service.checkpoint()
-    finally:
-        if spec.observed:
-            # Services snapshot the pipeline at construction; the global
-            # need not stay set.
-            disable()
     server = OasisServer(
         spec.name, world.services, broker=broker, network=network,
-        handlers=dict(getattr(world, "handlers", None) or {}),
+        handlers=getattr(world, "handlers", None),
         host=spec.host, port=spec.port,
         require_handshake=spec.require_handshake, pipeline=pipeline)
     try:

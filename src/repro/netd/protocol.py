@@ -57,6 +57,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core import exceptions as _core_exceptions
 from ..net.sim import NetworkError
+from ..ops import error_payload
 
 __all__ = [
     "MAX_FRAME",
@@ -262,11 +263,6 @@ def _known_exceptions() -> Dict[str, type]:
 #: hostile server pick any importable exception.
 _KNOWN_EXCEPTIONS = _known_exceptions()
 _KNOWN_EXCEPTIONS["HandshakeError"] = HandshakeError
-
-
-def error_payload(error: BaseException) -> Dict[str, str]:
-    """How a handler exception crosses the wire."""
-    return {"type": type(error).__name__, "message": str(error)}
 
 
 def raise_remote_error(node: str, payload: Any) -> "NoReturn":  # noqa: F821

@@ -2,11 +2,10 @@
 
 One :class:`OasisServer` hosts the :class:`~repro.core.service.OasisService`
 instances of one process behind the frame protocol of
-:mod:`repro.netd.protocol`.  The op vocabulary deliberately mirrors
-:class:`~repro.shard.worker.ShardWorker` — certificates cross as
-:mod:`repro.core.wire` payloads, CRRs as
-:func:`~repro.core.state.ref_payload` dicts — so a reader of one speaks
-the other.
+:mod:`repro.netd.protocol`.  The service ops come from :mod:`repro.ops`;
+this module adds only what a socket needs: the frame loop, handshake
+gating, ``auth.*``, ``ping``, ``services``, ``subscribe_events``,
+``shutdown``, the single-slot executor hop and the request timeout.
 
 Threading model (the part worth understanding):
 
@@ -48,16 +47,12 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
-from ..core import wire
-from ..core.access_log import AccessRecord
-from ..core.credentials import CredentialRef
-from ..core.service import (ActivationRequest, OasisService, Presentation)
-from ..core.state import ref_from_payload, ref_payload
-from ..core.types import PrincipalId
+from ..core.service import OasisService
 from ..crypto.challenge import ChallengeResponseServer
 from ..crypto.rsa import RSAPublicKey
 from ..events import EventBroker
 from ..obs.runtime import Observability
+from ..ops import OpHost
 from .events import EventPump
 from .protocol import (
     MAX_FRAME,
@@ -92,7 +87,7 @@ class _Connection:
             await send_frame(self.writer, payload, max_frame)
 
 
-class OasisServer:
+class OasisServer(OpHost):
     """Serve a set of OASIS services over TCP."""
 
     def __init__(self, node: str, services: Mapping[str, OasisService], *,
@@ -105,20 +100,14 @@ class OasisServer:
                  request_timeout: float = 30.0,
                  max_frame: int = MAX_FRAME,
                  pipeline: Optional[Observability] = None) -> None:
+        super().__init__(services, handlers, pipeline, network)
         self.node = node
-        self.services: Dict[str, OasisService] = dict(services)
         self.broker = broker
-        self.network = network
-        self.handlers: Dict[str, Callable[[Any], Any]] = \
-            dict(handlers or {})
         self.host = host
         self.port = port  # rewritten with the bound port on start()
         self.require_handshake = require_handshake
         self.request_timeout = request_timeout
         self.max_frame = max_frame
-        self.pipeline = pipeline
-        self._by_id = {service.id: service
-                       for service in self.services.values()}
         # ONE worker slot: hosted services stay single-threaded.
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"oasis-{node}")
@@ -138,7 +127,6 @@ class OasisServer:
         # miss cascade events published in the gap).
         self.channels: Dict[str, Any] = {}
         self.shutdown_requested = asyncio.Event()
-        self.requests = 0
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> "OasisServer":
@@ -262,11 +250,11 @@ class OasisServer:
             return {"subscribed": True}
         if op == "shutdown":
             return None
-        # Everything else mutates or reads service state: worker thread,
-        # bounded by the request timeout.
+        # Everything else is a shared op (repro.ops) over service state:
+        # worker thread, bounded by the request timeout.
         assert self._loop is not None
         future = self._loop.run_in_executor(
-            self._executor, functools.partial(self._execute, frame, op))
+            self._executor, functools.partial(self.execute, op, frame))
         try:
             return await asyncio.wait_for(future, self.request_timeout)
         except asyncio.TimeoutError:
@@ -318,160 +306,13 @@ class OasisServer:
             "endpoints": endpoints,
         }
 
-    # -- worker-thread ops (mirrors ShardWorker._execute) -------------------
-    def _service(self, key: str) -> OasisService:
-        try:
-            return self.services[key]
-        except KeyError:
-            raise KeyError(f"{self.node} hosts no service keyed "
-                           f"{key!r}") from None
-
-    def _service_for_ref(self, ref: CredentialRef) -> OasisService:
-        try:
-            return self._by_id[ref.service]
-        except KeyError:
-            raise KeyError(f"{self.node} hosts no service "
-                           f"{ref.service}") from None
-
-    @staticmethod
-    def _presentations(payloads: Any) -> List[Presentation]:
-        return [Presentation(wire.decode_certificate(entry["cert"]),
-                             holder=entry.get("holder"),
-                             on_behalf_of=entry.get("on_behalf_of"))
-                for entry in payloads]
-
-    def _activation_request(self, payload: Mapping[str, Any]
-                            ) -> ActivationRequest:
-        parameters = payload.get("parameters")
-        return ActivationRequest(
-            principal=PrincipalId(payload["principal"]),
-            role_name=payload["role"],
-            parameters=None if parameters is None else list(parameters),
-            credentials=self._presentations(payload.get("credentials", ())),
-            environment=payload.get("environment"),
-            session_id=payload.get("session"))
-
-    def _execute(self, frame: Mapping[str, Any], op: Any) -> Any:
-        if op == "activate":
-            service = self._service(frame["service"])
-            request = self._activation_request(frame["request"])
-            certificate = service.activate_role(
-                request.principal, request.role_name, request.parameters,
-                request.credentials, environment=request.environment,
-                session_id=request.session_id)
-            return {"cert": wire.encode_certificate(certificate)}
-        if op == "activate_bulk":
-            service = self._service(frame["service"])
-            requests = [self._activation_request(payload)
-                        for payload in frame["requests"]]
-            certificates = service.activate_roles_bulk(requests)
-            return {"certs": [wire.encode_certificate(certificate)
-                              for certificate in certificates]}
-        if op == "invoke":
-            service = self._service(frame["service"])
-            result = service.invoke(
-                PrincipalId(frame["principal"]), frame["method"],
-                list(frame.get("arguments", ())),
-                credentials=self._presentations(
-                    frame.get("credentials", ())))
-            return {"result": result}
-        if op == "appoint":
-            service = self._service(frame["service"])
-            certificate = service.issue_appointment(
-                PrincipalId(frame["appointer"]), frame["name"],
-                list(frame.get("parameters", ())),
-                credentials=self._presentations(
-                    frame.get("credentials", ())),
-                holder=frame.get("holder"),
-                expires_at=frame.get("expires_at"))
-            return {"cert": wire.encode_certificate(certificate)}
-        if op == "revoke":
-            ref = ref_from_payload(frame["ref"])
-            service = self._service_for_ref(ref)
-            return {"revoked": service.revoke(ref, frame.get("reason",
-                                                             "revoked"))}
-        if op == "is_active":
-            ref = ref_from_payload(frame["ref"])
-            return {"active": self._service_for_ref(ref).is_active(ref)}
-        if op == "record":
-            return self._op_record(frame)
-        if op == "validate":
-            return self._op_validate(frame)
-        if op == "audit":
-            return self._op_audit(frame)
-        if op == "sessions":
-            service = self._service(frame["service"])
-            return {"sessions": sorted(service.live_sessions())}
-        if op == "stats":
-            return self.stats()
-        if op == "spans":
-            return {"spans": self.export_spans(frame.get("trace_id"),
-                                               frame.get("name"))}
-        if op == "handler":
-            handler = self.handlers.get(frame["name"])
-            if handler is None:
-                raise KeyError(f"{self.node} has no handler "
-                               f"{frame['name']!r}")
-            return {"result": handler(frame.get("payload"))}
-        if op == "checkpoint":
-            for service in self.services.values():
-                service.checkpoint()
-            return {}
-        raise ValueError(f"unknown op {op!r}")
-
-    def _op_validate(self, frame: Mapping[str, Any]) -> Any:
-        """Inbound Sect. 4 callback validation: route to the local
-        handler a hosted service registered on the RemoteNetwork."""
-        if self.network is None:
-            raise RuntimeError(f"{self.node} has no network attached")
-        certificate = wire.decode_certificate(frame["cert"])
-        valid = self.network.local_call(
-            frame["domain"], frame["endpoint"], certificate,
-            frame.get("principal"), frame.get("holder"))
-        return {"valid": bool(valid)}
-
-    def _op_record(self, frame: Mapping[str, Any]) -> Any:
-        ref = ref_from_payload(frame["ref"])
-        record = self._service_for_ref(ref).credential_record(ref)
-        if record is None:
-            return {"found": False}
-        return {"found": True, "status": record.status,
-                "reason": record.revoked_reason,
-                "session": record.session_id,
-                "principal": record.principal.value,
-                "dependencies": [ref_payload(dep) for dep
-                                 in record.membership_dependencies]}
-
-    def _op_audit(self, frame: Mapping[str, Any]) -> Any:
-        service = self._service(frame["service"])
-        kind = frame.get("kind")
-        records: List[AccessRecord] = (service.access_log.query(kind=kind)
-                                       if kind is not None
-                                       else list(service.access_log))
-        return {"records": [[entry.timestamp, entry.kind, entry.principal,
-                             entry.subject, entry.reason]
-                            for entry in records]}
-
     # -- introspection ------------------------------------------------------
-    def export_spans(self, trace_id: Optional[str] = None,
-                     name: Optional[str] = None) -> List[Dict[str, Any]]:
-        if self.pipeline is None:
-            return []
-        return [span.to_dict() for span
-                in self.pipeline.tracer.spans(trace_id, name)]
-
     def stats(self) -> Dict[str, Any]:
-        service_stats = {key: service.stats.snapshot()
-                         for key, service in self.services.items()}
-        live = sum(len(service.active_credentials())
-                   for service in self.services.values())
+        stats = super().stats()
         pump = self.pump
-        return {
+        stats.update({
             "node": self.node,
-            "requests": self.requests,
             "connections": len(self._connections),
-            "live_credentials": live,
-            "services": service_stats,
             "broker": self.broker.stats() if self.broker is not None
             else {},
             "pump": {
@@ -485,4 +326,5 @@ class OasisServer:
                 "expired": self._challenges.expired_count,
                 "evicted": self._challenges.evicted_count,
             },
-        }
+        })
+        return stats

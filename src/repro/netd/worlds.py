@@ -3,9 +3,8 @@
 A served process is handed a :class:`NodeContext` (broker, registry,
 :class:`~repro.netd.client.RemoteNetwork`, wall clock, optional state
 directory) and a factory ``factory(ctx, *args)`` returning an object
-with a ``services`` mapping and optionally a ``handlers`` mapping —
-the exact contract :mod:`repro.shard.worker` uses, so world code is
-portable between the pipe transport and sockets.
+with a ``services`` mapping and optionally a ``handlers`` mapping (the
+world contract of :mod:`repro.ops`).
 
 Every node rebuilds the *policies* it needs locally (policies are
 code), but hosts only its own services: the Fig. 3 EHR deployment

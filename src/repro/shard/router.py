@@ -44,6 +44,7 @@ from ..core.state import ref_payload
 from ..core.types import PrincipalId
 from ..obs.runtime import Observability
 from ..obs.tracing import Tracer
+from ..ops import activation_payload, presentation_payloads
 from .partition import shard_of_key, shard_of_ref
 from .worker import ShardWorker, worker_main
 
@@ -71,17 +72,12 @@ class ShardRequestError(RuntimeError):
         self.detail = message
 
 
-def _encode_presentations(credentials: Sequence[Any]) -> List[Dict[str, Any]]:
-    encoded = []
-    for item in credentials:
-        if isinstance(item, Presentation):
-            encoded.append({"cert": wire.encode_certificate(item.certificate),
-                            "holder": item.holder,
-                            "on_behalf_of": item.on_behalf_of})
-        else:  # a bare certificate
-            encoded.append({"cert": wire.encode_certificate(item),
-                            "holder": None, "on_behalf_of": None})
-    return encoded
+def _value(shard: int, response: Mapping[str, Any]) -> Any:
+    """A worker reply's value, or its error re-raised."""
+    if not response["ok"]:
+        error = response["error"]
+        raise ShardRequestError(shard, error["type"], error["message"])
+    return response["value"]
 
 
 class _WorkerHandle:
@@ -126,11 +122,7 @@ class _ProcessHandle(_WorkerHandle):
         super().__init__(shard)
         self.conn = conn
         self.process = process
-        ready = conn.recv()  # construction handshake
-        if not ready.get("ok"):
-            error = ready.get("error", {})
-            raise ShardRequestError(shard, error.get("type", "Error"),
-                                    error.get("message", "worker failed"))
+        _value(shard, conn.recv())  # construction handshake
 
     def send(self, message: Dict[str, Any]) -> int:
         seq = self.next_seq()
@@ -210,16 +202,11 @@ class ShardRouter:
         message.update(fields)
         return self._handles[shard].send(message)
 
-    def _collect(self, shard: int, seq: int,
-                 route_bus: bool = True) -> Any:
+    def _collect(self, shard: int, seq: int) -> Any:
         response = self._handles[shard].recv(seq)
-        bus_messages = response.get("bus", ())
-        if route_bus and bus_messages:
-            self._route_bus(bus_messages)
-        if not response["ok"]:
-            error = response["error"]
-            raise ShardRequestError(shard, error["type"], error["message"])
-        return response["value"]
+        if response.get("bus"):
+            self._route_bus(response["bus"])
+        return _value(shard, response)
 
     def _request(self, shard: int, op: str, **fields: Any) -> Any:
         return self._collect(shard, self._send(shard, op, **fields))
@@ -243,10 +230,7 @@ class ShardRouter:
                 raise ValueError(f"unknown bus message kind "
                                  f"{message['kind']!r}")
             response = self._handles[target].recv(seq)
-            if not response["ok"]:
-                error = response["error"]
-                raise ShardRequestError(target, error["type"],
-                                        error["message"])
+            _value(target, response)
             queue.extend(response.get("bus", ()))
 
     # -- placement ----------------------------------------------------------
@@ -288,49 +272,20 @@ class ShardRouter:
         ``issue_rmcs_bulk`` message goes to each involved shard; results
         come back in entry order.
         """
-        groups: Dict[int, List[int]] = {}
-        for index, entry in enumerate(entries):
-            principal, _role, _params, _deps, session = entry
-            shard = shards[index] if shards is not None \
-                else self._placement(session, principal)
-            groups.setdefault(shard, []).append(index)
-        pending: List[Tuple[int, int, List[int]]] = []
-        for shard, indices in sorted(groups.items()):
-            payload = []
-            for index in indices:
-                principal, role, parameters, dependencies, session = \
-                    entries[index]
-                value = principal.value \
-                    if isinstance(principal, PrincipalId) else str(principal)
-                payload.append({
-                    "principal": value,
-                    "role": role,
-                    "parameters": list(parameters),
-                    "dependencies": [ref_payload(dep)
-                                     for dep in dependencies],
-                    "session": session,
-                })
-            pending.append((shard,
-                            self._send(shard, "issue_bulk", service=service,
-                                       entries=payload), indices))
-        results: List[Any] = [None] * len(entries)
-        for shard, seq, indices in pending:
-            value = self._collect(shard, seq)
-            for index, cert_payload in zip(indices, value["certs"]):
-                results[index] = wire.decode_certificate(cert_payload)
-        return results
-
-    def _activation_payload(self, request: ActivationRequest
-                            ) -> Dict[str, Any]:
-        return {
-            "principal": request.principal.value,
-            "role": request.role_name,
-            "parameters": None if request.parameters is None
-            else list(request.parameters),
-            "credentials": _encode_presentations(request.credentials),
-            "environment": request.environment,
-            "session": request.session_id,
-        }
+        if shards is None:
+            shards = [self._placement(session, principal)
+                      for principal, _role, _params, _deps, session
+                      in entries]
+        payloads = [{
+            "principal": principal.value
+            if isinstance(principal, PrincipalId) else str(principal),
+            "role": role,
+            "parameters": list(parameters),
+            "dependencies": [ref_payload(dep) for dep in dependencies],
+            "session": session,
+        } for principal, role, parameters, dependencies, session in entries]
+        return self._certificates_per_shard("issue_bulk", service, "entries",
+                                            shards, payloads)
 
     def activate_role(self, service: str, principal: Any, role_name: str,
                       parameters: Optional[Sequence[Any]] = None,
@@ -344,12 +299,10 @@ class ShardRouter:
             shard = self._placement(session_id, principal_id, credentials)
         request = ActivationRequest(
             principal=principal_id, role_name=role_name,
-            parameters=parameters,
-            credentials=[item if isinstance(item, Presentation)
-                         else Presentation(item) for item in credentials],
+            parameters=parameters, credentials=credentials,
             environment=environment, session_id=session_id)
         value = self._request(shard, "activate", service=service,
-                              request=self._activation_payload(request))
+                              request=activation_payload(request))
         return wire.decode_certificate(value["cert"])
 
     def activate_roles_bulk(self, service: str,
@@ -357,21 +310,30 @@ class ShardRouter:
                             shards: Optional[Sequence[int]] = None
                             ) -> List[Any]:
         """Batch-aware activation: one ``activate_roles_bulk`` per shard."""
+        if shards is None:
+            shards = [self._placement(request.session_id, request.principal,
+                                      request.credentials)
+                      for request in requests]
+        return self._certificates_per_shard(
+            "activate_bulk", service, "requests", shards,
+            [activation_payload(request) for request in requests])
+
+    def _certificates_per_shard(self, op: str, service: str, field: str,
+                                shards: Sequence[int],
+                                payloads: Sequence[Dict[str, Any]]
+                                ) -> List[Any]:
+        """Send one bulk ``op`` to each involved shard, carrying the
+        payloads placed there under ``field``; the certificates come back
+        in payload order."""
         groups: Dict[int, List[int]] = {}
-        for index, request in enumerate(requests):
-            shard = shards[index] if shards is not None \
-                else self._placement(request.session_id, request.principal,
-                                     request.credentials)
+        for index, shard in enumerate(shards):
             groups.setdefault(shard, []).append(index)
         pending: List[Tuple[int, int, List[int]]] = []
         for shard, indices in sorted(groups.items()):
-            payload = [self._activation_payload(requests[index])
-                       for index in indices]
-            pending.append((shard,
-                            self._send(shard, "activate_bulk",
-                                       service=service, requests=payload),
-                            indices))
-        results: List[Any] = [None] * len(requests)
+            batch = [payloads[index] for index in indices]
+            pending.append((shard, self._send(shard, op, service=service,
+                                              **{field: batch}), indices))
+        results: List[Any] = [None] * len(payloads)
         for shard, seq, indices in pending:
             value = self._collect(shard, seq)
             for index, cert_payload in zip(indices, value["certs"]):
@@ -390,7 +352,7 @@ class ShardRouter:
             shard, "invoke", service=service,
             principal=principal_id.value, method=method,
             arguments=list(arguments),
-            credentials=_encode_presentations(credentials))
+            credentials=presentation_payloads(credentials))
         return value["result"]
 
     def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:

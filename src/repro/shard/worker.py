@@ -5,8 +5,11 @@ rules, methods and secrets are rebuilt locally by the world factory) but
 only *its partition of the security state*: each service gets a
 :class:`~repro.shard.partition.ShardedRefAllocator`, so every credential
 record a worker holds has a ref that hashes to its own shard.  Requests
-reach the worker as small dict messages over a ``multiprocessing`` pipe;
-certificates cross as :mod:`repro.core.wire` payloads, events as
+reach the worker as small dict messages over a ``multiprocessing`` pipe
+and run through the shared op table of :mod:`repro.ops`; the worker adds
+only the pipe's own vocabulary (``issue_bulk``, ``live_count``,
+``bus.*``) and the cross-shard links of newly issued certificates.
+Certificates cross as :mod:`repro.core.wire` payloads, events as
 :meth:`~repro.events.messages.Event.to_payload` dicts, and CRRs as
 :func:`~repro.core.state.ref_payload` dicts — nothing process-local ever
 crosses the boundary, which is what lets the interned
@@ -23,18 +26,19 @@ request/response automaton — no cross-worker deadlocks by construction.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..core import wire
-from ..core.access_log import AccessRecord
 from ..core.credentials import CredentialRef
 from ..core.policy import ServicePolicy
-from ..core.service import (ActivationRequest, OasisService, Presentation,
-                            ServiceRegistry)
-from ..core.state import ServiceStateCodec, ref_from_payload, ref_payload
+from ..core.service import OasisService, ServiceRegistry
+from ..core.state import ServiceStateCodec, ref_from_payload
 from ..core.types import PrincipalId, Role, RoleName
 from ..db import default_store
-from ..obs.runtime import Observability, disable, enable
+from ..obs import runtime
+from ..obs.runtime import Observability
+from ..ops import OpHost, error_payload
 from .bus import CrossShardBus, ShardBroker
 from .partition import ShardedRefAllocator, shard_of_ref
 
@@ -89,16 +93,13 @@ class ShardContext:
                 self.bus.link_dependency(dep.qualified, owner)
 
 
-class ShardWorker:
+class ShardWorker(OpHost):
     """The request-dispatching core of one shard worker.
 
     Usable in-process (deterministic tests drive :meth:`dispatch`
     directly) or as the engine of a child process (:func:`worker_main`).
-    The world ``factory`` is a module-level callable
-    ``factory(ctx, *factory_args)`` returning an object with a
-    ``services`` mapping (``key -> OasisService``) and an optional
-    ``handlers`` mapping (``name -> callable(payload)``) for world-side
-    bulk operations such as benchmark traffic.
+    The world ``factory`` is a module-level callable following the world
+    contract of :mod:`repro.ops`; its ``ctx`` is a :class:`ShardContext`.
     """
 
     def __init__(self, shard: int, shards: int,
@@ -107,58 +108,22 @@ class ShardWorker:
                  observed: bool = False) -> None:
         self.shard = shard
         self.shards = shards
-        self.pipeline: Optional[Observability] = None
-        if observed:
-            # Per-worker pipeline with shard-prefixed span ids: workers
-            # mint globally unique ids that the coordinator can merge.
-            self.pipeline = Observability(trace_id_prefix=f"w{shard}.")
-            enable(self.pipeline)
-        try:
+        # Per-worker pipeline with shard-prefixed span ids: workers mint
+        # globally unique ids that the coordinator can merge.  Services
+        # snapshot the pipeline at construction, so it is installed only
+        # while the world is built.
+        pipeline = (Observability(trace_id_prefix=f"w{shard}.")
+                    if observed else None)
+        with runtime.observed(pipeline) if pipeline is not None \
+                else nullcontext():
             self.bus = CrossShardBus(shard, shards)
             self.broker = ShardBroker(self.bus)
             self.registry = ServiceRegistry()
             self.context = ShardContext(shard, shards, self.broker,
                                         self.registry)
             self.world = factory(self.context, *factory_args)
-        finally:
-            if observed:
-                # Services snapshot the pipeline at construction; the
-                # module-level current pipeline need not stay set (and in
-                # in-process multi-worker tests it must not leak).
-                disable()
-        self.services: Dict[str, OasisService] = dict(self.world.services)
-        self.handlers: Dict[str, Callable[[Any], Any]] = \
-            dict(getattr(self.world, "handlers", None) or {})
-        self._by_id = {service.id: service
-                       for service in self.services.values()}
-        self.requests = 0
-
-    # -- lookups ------------------------------------------------------------
-    def _service(self, key: str) -> OasisService:
-        try:
-            return self.services[key]
-        except KeyError:
-            raise KeyError(f"worker {self.shard} has no service "
-                           f"keyed {key!r}") from None
-
-    def _service_for_ref(self, ref: CredentialRef) -> OasisService:
-        try:
-            return self._by_id[ref.service]
-        except KeyError:
-            raise KeyError(f"worker {self.shard} hosts no service "
-                           f"{ref.service}") from None
-
-    @staticmethod
-    def _presentations(payloads: Sequence[Mapping[str, Any]]
-                       ) -> List[Presentation]:
-        return [Presentation(wire.decode_certificate(entry["cert"]),
-                             holder=entry.get("holder"),
-                             on_behalf_of=entry.get("on_behalf_of"))
-                for entry in payloads]
-
-    def _role(self, service: OasisService,
-              name: str, parameters: Sequence[Any]) -> Role:
-        return Role(RoleName(service.id, name), tuple(parameters))
+        super().__init__(self.world.services,
+                         getattr(self.world, "handlers", None), pipeline)
 
     # -- operations ---------------------------------------------------------
     def dispatch(self, message: Mapping[str, Any]) -> Dict[str, Any]:
@@ -172,8 +137,7 @@ class ShardWorker:
                                         "ok": True, "value": value}
         except Exception as error:  # noqa: BLE001 - crosses the pipe
             response = {"seq": message.get("seq"), "ok": False,
-                        "error": {"type": type(error).__name__,
-                                  "message": str(error)}}
+                        "error": error_payload(error)}
         response["bus"] = self.bus.drain()
         return response
 
@@ -181,172 +145,64 @@ class ShardWorker:
         op = message["op"]
         if op == "issue_bulk":
             return self._op_issue_bulk(message)
-        if op == "activate":
-            return self._op_activate(message)
-        if op == "activate_bulk":
-            return self._op_activate_bulk(message)
-        if op == "invoke":
-            return self._op_invoke(message)
-        if op == "revoke":
-            service = self._service_for_ref(
-                ref := ref_from_payload(message["ref"]))
-            return {"revoked": service.revoke(ref,
-                                              message.get("reason",
-                                                          "revoked"))}
-        if op == "is_active":
-            ref = ref_from_payload(message["ref"])
-            return {"active": self._service_for_ref(ref).is_active(ref)}
-        if op == "record":
-            return self._op_record(message)
-        if op == "audit":
-            return self._op_audit(message)
-        if op == "sessions":
-            service = self._service(message["service"])
-            return {"sessions": sorted(service.live_sessions())}
         if op == "live_count":
             return {"counts": {key: len(service.active_credentials())
                                for key, service in self.services.items()}}
-        if op == "stats":
-            return self.stats()
-        if op == "spans":
-            return {"spans": self.export_spans(message.get("trace_id"),
-                                               message.get("name"))}
-        if op == "handler":
-            handler = self.handlers.get(message["name"])
-            if handler is None:
-                raise KeyError(f"worker {self.shard} has no handler "
-                               f"{message['name']!r}")
-            return {"result": handler(message.get("payload"))}
         if op == "bus.cascade":
             return {"delivered":
                     self.broker.deliver_remote(message["events"])}
         if op == "bus.link":
             return {"registered": self.bus.register_remote_links(
                 (ref, int(shard)) for ref, shard in message["links"])}
-        if op == "checkpoint":
-            for service in self.services.values():
-                service.checkpoint()
-            return {}
         if op == "ping":
             return {"shard": self.shard}
-        if op == "shutdown":  # meaningful for the child loop; no-op here
+        if op == "shutdown":  # the child loop exits after replying
             return None
-        raise ValueError(f"unknown worker op {op!r}")
+        return self.execute(op, message)
 
     def _op_issue_bulk(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
+        service = self.service(message["service"])
         entries = []
         all_deps: List[CredentialRef] = []
         for entry in message["entries"]:
             dependencies = tuple(ref_from_payload(dep)
                                  for dep in entry.get("dependencies", ()))
             all_deps.extend(dependencies)
-            entries.append((PrincipalId(entry["principal"]),
-                            self._role(service, entry["role"],
-                                       entry.get("parameters", ())),
+            role = Role(RoleName(service.id, entry["role"]),
+                        tuple(entry.get("parameters", ())))
+            entries.append((PrincipalId(entry["principal"]), role,
                             dependencies, entry.get("session")))
         certificates = service.issue_rmcs_bulk(entries)
         self.context.link_dependencies(all_deps)
         return {"certs": [wire.encode_certificate(certificate)
                           for certificate in certificates]}
 
-    def _activation_request(self, payload: Mapping[str, Any]
-                            ) -> ActivationRequest:
-        parameters = payload.get("parameters")
-        return ActivationRequest(
-            principal=PrincipalId(payload["principal"]),
-            role_name=payload["role"],
-            parameters=None if parameters is None else list(parameters),
-            credentials=self._presentations(payload.get("credentials", ())),
-            environment=payload.get("environment"),
-            session_id=payload.get("session"))
-
-    def _link_issued(self, service: OasisService, certificate: Any) -> None:
-        record = service.credential_record(certificate.ref)
-        if record is not None and record.membership_dependencies:
-            self.context.link_dependencies(record.membership_dependencies)
-
-    def _op_activate(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        request = self._activation_request(message["request"])
-        certificate = service.activate_role(
-            request.principal, request.role_name, request.parameters,
-            request.credentials, environment=request.environment,
-            session_id=request.session_id)
-        self._link_issued(service, certificate)
-        return {"cert": wire.encode_certificate(certificate)}
-
-    def _op_activate_bulk(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        requests = [self._activation_request(payload)
-                    for payload in message["requests"]]
-        certificates = service.activate_roles_bulk(requests)
+    def activated(self, service: OasisService,
+                  certificates: Sequence[Any]) -> None:
+        """Register this shard with the owners of any foreign membership
+        dependency of the fresh RMCs (the cross-shard Fig. 5 edges)."""
         for certificate in certificates:
-            self._link_issued(service, certificate)
-        return {"certs": [wire.encode_certificate(certificate)
-                          for certificate in certificates]}
-
-    def _op_invoke(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        result = service.invoke(
-            PrincipalId(message["principal"]), message["method"],
-            list(message.get("arguments", ())),
-            credentials=self._presentations(message.get("credentials", ())))
-        return {"result": result}
-
-    def _op_record(self, message: Mapping[str, Any]) -> Any:
-        ref = ref_from_payload(message["ref"])
-        record = self._service_for_ref(ref).credential_record(ref)
-        if record is None:
-            return {"found": False}
-        return {"found": True, "status": record.status,
-                "reason": record.revoked_reason,
-                "session": record.session_id,
-                "principal": record.principal.value,
-                "dependencies": [ref_payload(dep) for dep
-                                 in record.membership_dependencies]}
-
-    def _op_audit(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        kind = message.get("kind")
-        records: List[AccessRecord] = (service.access_log.query(kind=kind)
-                                       if kind is not None
-                                       else list(service.access_log))
-        return {"records": [[entry.timestamp, entry.kind, entry.principal,
-                             entry.subject, entry.reason]
-                            for entry in records]}
+            record = service.credential_record(certificate.ref)
+            if record is not None and record.membership_dependencies:
+                self.context.link_dependencies(
+                    record.membership_dependencies)
 
     # -- introspection ------------------------------------------------------
-    def export_spans(self, trace_id: Optional[str] = None,
-                     name: Optional[str] = None) -> List[Dict[str, Any]]:
-        if self.pipeline is None:
-            return []
-        return [span.to_dict() for span
-                in self.pipeline.tracer.spans(trace_id, name)]
-
     def stats(self) -> Dict[str, Any]:
-        revocations = 0
-        live = 0
-        service_stats: Dict[str, Any] = {}
-        for key, service in self.services.items():
-            snapshot = service.stats.snapshot()
-            service_stats[key] = snapshot
-            # ``revocations`` already includes the cascaded ones;
-            # ``cascade_revocations`` is the subset, not an addend.
-            revocations += snapshot.get("revocations", 0)
-            live += len(service.active_credentials())
+        stats = super().stats()
+        # ``revocations`` already includes the cascaded ones;
+        # ``cascade_revocations`` is the subset, not an addend.
+        revocations = sum(snapshot.get("revocations", 0)
+                          for snapshot in stats["services"].values())
         broker_stats = self.broker.stats()
-        published = broker_stats.get("published_count", 0)
-        return {
+        stats.update({
             "shard": self.shard,
-            "requests": self.requests,
             "revocations": revocations,
-            "live_credentials": live,
-            "events_published": published,
-            "services": service_stats,
+            "events_published": broker_stats.get("published_count", 0),
             "broker": broker_stats,
             "bus": self.bus.stats(),
-        }
+        })
+        return stats
 
 
 def worker_main(conn: Any, shard: int, shards: int,
@@ -358,9 +214,7 @@ def worker_main(conn: Any, shard: int, shards: int,
                              observed=observed)
     except Exception as error:  # noqa: BLE001 - surface construction failure
         conn.send({"seq": None, "ok": False,
-                   "error": {"type": type(error).__name__,
-                             "message": str(error)},
-                   "bus": []})
+                   "error": error_payload(error), "bus": []})
         conn.close()
         return
     conn.send({"seq": None, "ok": True, "value": {"shard": shard},
@@ -368,11 +222,9 @@ def worker_main(conn: Any, shard: int, shards: int,
     try:
         while True:
             message = conn.recv()
-            if message.get("op") == "shutdown":
-                conn.send({"seq": message.get("seq"), "ok": True,
-                           "value": None, "bus": worker.bus.drain()})
-                break
             conn.send(worker.dispatch(message))
+            if message.get("op") == "shutdown":
+                break
     except (EOFError, KeyboardInterrupt):
         pass
     finally:
