@@ -11,7 +11,7 @@ touched on those hot paths:
 * :class:`UninstrumentedEngine` — ``match_activation`` without the
   pipeline guard and ``_solve_indexed`` without the step-counter closure
   selection.
-* :class:`UninstrumentedService` — ``_audit``, ``revoke``,
+* :class:`UninstrumentedService` — ``_audit``, ``_revoke``,
   ``_collapse_subtree`` and ``_on_revoked_event`` without guards, span
   context plumbing, or cascade width/depth accounting.
 
@@ -38,7 +38,7 @@ from repro.core.constraints import EvaluationContext
 from repro.core.credentials import CredentialRecord
 from repro.core.exceptions import ActivationDenied
 from repro.core.rules import ActivationRule, Condition, ConstraintCondition
-from repro.core.service import OasisService
+from repro.core.service import OasisService, _revocation_cause
 from repro.core.terms import Substitution, Term, unify_sequences
 from repro.core.types import Role
 from repro.events.messages import Event
@@ -117,13 +117,13 @@ class UninstrumentedService(OasisService):
         self.access_log.record(self.clock(), kind, principal, subject,
                                detail, reason)
 
-    def revoke(self, ref, reason: str = "revoked") -> bool:
+    def _revoke(self, ref, reason: str, cause: str) -> bool:
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
         self.stats.revocations += 1
         if self._batched_cascades:
-            events = self._collapse_subtree([(record, reason)])
+            events = self._collapse_subtree([record], reason, cause)
             if events:
                 self.broker.publish_batch(events)
             return True
@@ -133,14 +133,14 @@ class UninstrumentedService(OasisService):
         self._teardown_watch(ref)
         for subscription in self._dependency_subs.pop(ref, []):
             subscription.cancel()
-        self.broker.publish(self._revocation_event(ref, reason))
+        self.broker.publish(self._revocation_event(ref, reason, cause))
         return True
 
-    def _collapse_subtree(self,
-                          revoked: List[Tuple[CredentialRecord, str]],
+    def _collapse_subtree(self, revoked: List[CredentialRecord],
+                          reason: str, cause: str,
                           parent_ctx: Any = None) -> List[Event]:
         events: List[Event] = []
-        queue = deque(revoked)
+        queue = deque((record, reason) for record in revoked)
         while queue:
             record, reason = queue.popleft()
             ref = record.ref
@@ -149,12 +149,12 @@ class UninstrumentedService(OasisService):
                         str(ref), reason=reason)
             self._teardown_watch(ref)
             self._unlink_dependencies(record)
-            events.append(self._revocation_event(ref, reason))
+            events.append(self._revocation_event(ref, reason, cause))
             dependents = self._dependents.get(ref.qualified)
             if not dependents:
                 continue
             dependent_reason = (f"membership dependency {ref} revoked "
-                                f"({reason})")
+                                f"({cause})")
             for dependent_ref in list(dependents):
                 dependent = self._records.get(dependent_ref)
                 if dependent is None or not dependent.revoke(
@@ -176,17 +176,17 @@ class UninstrumentedService(OasisService):
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return
-        reason = (f"membership dependency {ref_string} revoked "
-                  f"({event.get('reason')})")
-        seeds: List[Tuple[CredentialRecord, str]] = []
+        cause = _revocation_cause(event)
+        reason = f"membership dependency {ref_string} revoked ({cause})"
+        seeds: List[CredentialRecord] = []
         for dependent_ref in list(dependents):
             record = self._records.get(dependent_ref)
             if record is None or not record.revoke(reason, self.clock()):
                 continue
             self.stats.revocations += 1
             self.stats.cascade_revocations += 1
-            seeds.append((record, reason))
+            seeds.append(record)
         if seeds:
-            events = self._collapse_subtree(seeds)
+            events = self._collapse_subtree(seeds, reason, cause)
             if events:
                 self.broker.publish_batch(events)

@@ -11,7 +11,7 @@ the same way ``seed_engine.py`` vendors the pre-optimization solver,
 ``obs_baseline.py`` the pre-instrumentation bodies and
 ``unslotted_baseline.py`` the pre-sweep representation:
 
-* :meth:`PreStoreService.revoke` / ``_collapse_subtree`` /
+* :meth:`PreStoreService._revoke` / ``_collapse_subtree`` /
   ``_on_revoked_event`` — inline ``publish_batch``, no cascade-journal
   hook, no per-record mirror guard;
 * ``_issue_rmc`` — no serial-watermark guard;
@@ -31,7 +31,7 @@ baseline and current rounds and compares minimum per-op latency.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.access_log import AccessKind
 from repro.core.credentials import (
@@ -42,7 +42,8 @@ from repro.core.credentials import (
 )
 from repro.core.engine import RuleMatch
 from repro.core.exceptions import CredentialExpired
-from repro.core.service import OasisService, Presentation, _MembershipWatch
+from repro.core.service import (OasisService, Presentation,
+                                _MembershipWatch, _revocation_cause)
 from repro.core.types import PrincipalId, Role
 from repro.events import CREDENTIAL_REISSUED, CREDENTIAL_REVOKED, Event
 from repro.obs.tracing import SpanContext
@@ -105,15 +106,15 @@ class PreStoreService(OasisService):
             self._watches[ref] = watch
 
     # -- revocation cascade --------------------------------------------
-    def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:
+    def _revoke(self, ref: CredentialRef, reason: str, cause: str) -> bool:
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
         if self._obs is not None:
-            return self._revoke_observed(record, ref, reason)
+            return self._revoke_observed(record, ref, reason, cause)
         self.stats.revocations += 1
         if self._batched_cascades:
-            events = self._collapse_subtree([(record, reason)])
+            events = self._collapse_subtree([record], reason, cause)
             if events:
                 self.broker.publish_batch(events)
             return True
@@ -123,17 +124,18 @@ class PreStoreService(OasisService):
         self._teardown_watch(ref)
         for subscription in self._dependency_subs.pop(ref, []):
             subscription.cancel()
-        self.broker.publish(self._revocation_event(ref, reason))
+        self.broker.publish(self._revocation_event(ref, reason, cause))
         return True
 
-    def _collapse_subtree(self,
-                          revoked: List[Tuple[CredentialRecord, str]],
+    def _collapse_subtree(self, revoked: List[CredentialRecord],
+                          reason: str, cause: str,
                           parent_ctx: Optional[SpanContext] = None,
                           ) -> List[Event]:
         if self._obs is not None:
-            return self._collapse_subtree_observed(revoked, parent_ctx)
+            return self._collapse_subtree_observed(revoked, reason, cause,
+                                                   parent_ctx)
         events: List[Event] = []
-        queue = deque(revoked)
+        queue = deque((record, reason) for record in revoked)
         while queue:
             record, reason = queue.popleft()
             ref = record.ref
@@ -143,12 +145,12 @@ class PreStoreService(OasisService):
                         str(ref), reason=reason)
             self._teardown_watch(ref)
             self._unlink_dependencies(record)
-            events.append(self._revocation_event(ref, reason))
+            events.append(self._revocation_event(ref, reason, cause))
             dependents = self._dependents.get(ref.qualified)
             if not dependents:
                 continue
             dependent_reason = (f"membership dependency {ref} revoked "
-                                f"({reason})")
+                                f"({cause})")
             for dependent_ref in list(dependents):
                 dependent = self._records.get(dependent_ref)
                 if dependent is None or not dependent.revoke(
@@ -170,16 +172,16 @@ class PreStoreService(OasisService):
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return
-        reason = (f"membership dependency {ref_string} revoked "
-                  f"({event.get('reason')})")
-        seeds: List[Tuple[CredentialRecord, str]] = []
+        cause = _revocation_cause(event)
+        reason = f"membership dependency {ref_string} revoked ({cause})"
+        seeds: List[CredentialRecord] = []
         for dependent_ref in list(dependents):
             record = self._records.get(dependent_ref)
             if record is None or not record.revoke(reason, self.clock()):
                 continue
             self.stats.revocations += 1
             self.stats.cascade_revocations += 1
-            seeds.append((record, reason))
+            seeds.append(record)
         if seeds:
             parent_ctx: Optional[SpanContext] = None
             if self._obs is not None:
@@ -187,7 +189,8 @@ class PreStoreService(OasisService):
                 span_id = event.get("span_id")
                 if trace_id is not None and span_id is not None:
                     parent_ctx = SpanContext(trace_id, span_id)
-            events = self._collapse_subtree(seeds, parent_ctx)
+            events = self._collapse_subtree(seeds, reason, cause,
+                                            parent_ctx)
             if events:
                 self.broker.publish_batch(events)
 

@@ -28,8 +28,9 @@ Because every process runs with node-prefixed span ids and revocation
 events carry span context, the driver can pull ``spans`` from all three
 processes, merge them with :meth:`repro.obs.tracing.Tracer.adopt`, and
 print the cascade as ONE tree rooted at the front process's ``revoke``
-span.  ``--check`` exits non-zero unless the cascade propagated and the
-stitched trace is a single tree — CI runs exactly that.
+span.  ``--check`` exits non-zero unless the cascade propagated, national
+refused within :data:`PROPAGATION_LIMIT_S` of the front ``revoke``, and
+the stitched trace is a single tree — CI runs exactly that.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from repro.netd.deploy import NodeSpec, Supervisor, free_port
 from repro.obs.tracing import Tracer
 
 WORLDS = "repro.netd.worlds"
+
+#: Longest acceptable time from the front ``revoke`` until national
+#: refuses (the same visibility limit perfbench's ``ehr_churn`` holds).
+PROPAGATION_LIMIT_S = 2.0
 
 
 def build_specs() -> list:
@@ -138,7 +143,27 @@ def main(argv=None) -> int:
         # -- the Fig. 5 cascade, across two process boundaries -------------
         print(f"5. front revokes the allocation {allocation.ref} "
               f"(patient discharged)")
+        started = time.monotonic()
         front.revoke(allocation.ref, "patient discharged")
+        refusal = None
+        while refusal is None and time.monotonic() < started + args.timeout:
+            try:
+                national.invoke(
+                    "patient-records", "gateway", "request_EHR", ["p1"],
+                    credentials=[gateway, Presentation(
+                        treating, on_behalf_of="dr-who")])
+            except Exception as error:  # noqa: BLE001 - denials vary
+                refusal = error
+        propagation = time.monotonic() - started
+        if refusal is not None:
+            print(f"6. national refused request_EHR "
+                  f"{propagation * 1000:.1f} ms after the front revoke: "
+                  f"{type(refusal).__name__}: {refusal}")
+        check("request_EHR refused at national after the cascade",
+              refusal is not None)
+        check(f"revocation reached national within "
+              f"{PROPAGATION_LIMIT_S:.0f} s",
+              propagation <= PROPAGATION_LIMIT_S)
 
         deadline = time.monotonic() + args.timeout
         collapsed = await_true(
@@ -150,18 +175,6 @@ def main(argv=None) -> int:
             lambda: national.stats()["services"]["patient-records"]
             ["cache_invalidations"] >= 1, deadline)
         check("national's cached validation (ECR) invalidated", invalidated)
-
-        try:
-            national.invoke(
-                "patient-records", "gateway", "request_EHR", ["p1"],
-                credentials=[gateway,
-                             Presentation(treating, on_behalf_of="dr-who")])
-            refused = False
-        except Exception as error:  # noqa: BLE001 - remote denial classes vary
-            refused = True
-            print(f"6. second request_EHR refused: "
-                  f"{type(error).__name__}: {error}")
-        check("second request_EHR refused after the cascade", refused)
 
         # -- stitch the trace: one tree spanning three processes -----------
         tracer = Tracer(id_prefix="driver.")

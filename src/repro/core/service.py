@@ -92,6 +92,13 @@ Certificate = Union[RoleMembershipCertificate, AppointmentCertificate]
 _STORE_UNSET: Any = object()
 
 
+def _revocation_cause(event: Event) -> Any:
+    """The root reason of the cascade a ``CREDENTIAL_REVOKED`` event
+    belongs to: its ``cause``, or its own reason when it is the root."""
+    cause = event.get("cause")
+    return event.get("reason") if cause is None else cause
+
+
 @dataclass
 class ServiceStats:
     """Operational counters, consumed by the benchmark harness."""
@@ -1015,15 +1022,25 @@ class OasisService:
         cascade stays breadth-first); other services pick the events up
         through their own service-level subscriptions — the cross-service
         hand-off of Fig. 5 is unchanged.
+
+        Every dependent's reason names its own dependency and the root
+        ``reason`` once — ``"membership dependency <ref> revoked
+        (<reason>)"`` — however deep the cascade runs; the root reason
+        rides on each event as its ``cause``.
         """
+        return self._revoke(ref, reason, reason)
+
+    def _revoke(self, ref: CredentialRef, reason: str, cause: str) -> bool:
+        """:meth:`revoke` inside a cascade whose root reason is ``cause``
+        (the unbatched path revokes each dependent this way)."""
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
         if self._obs is not None:
-            return self._revoke_observed(record, ref, reason)
+            return self._revoke_observed(record, ref, reason, cause)
         self.stats.revocations += 1
         if self._batched_cascades:
-            events, flipped = self._collapse_subtree([(record, reason)])
+            events, flipped = self._collapse_subtree([record], reason, cause)
             self._publish_cascade(events, flipped)
             return True
         self._audit(AccessKind.REVOCATION,
@@ -1032,7 +1049,7 @@ class OasisService:
         self._teardown_watch(ref)
         for subscription in self._dependency_subs.pop(ref, []):
             subscription.cancel()
-        self._publish_cascade([self._revocation_event(ref, reason)],
+        self._publish_cascade([self._revocation_event(ref, reason, cause)],
                               [record], single=True)
         return True
 
@@ -1075,7 +1092,7 @@ class OasisService:
         self._state.log_cascade_done(seq)
 
     def _revoke_observed(self, record: CredentialRecord, ref: CredentialRef,
-                         reason: str) -> bool:
+                         reason: str, cause: str) -> bool:
         """Tail of :meth:`revoke` under a root ``revoke`` span.
 
         The batch is published *inside* the span: the broker delivers
@@ -1089,7 +1106,8 @@ class OasisService:
         try:
             self.stats.revocations += 1
             if self._batched_cascades:
-                events, flipped = self._collapse_subtree([(record, reason)])
+                events, flipped = self._collapse_subtree([record], reason,
+                                                         cause)
                 self._publish_cascade(events, flipped)
                 return True
             self._audit(AccessKind.REVOCATION,
@@ -1102,16 +1120,22 @@ class OasisService:
             self._teardown_watch(ref)
             for subscription in self._dependency_subs.pop(ref, []):
                 subscription.cancel()
-            self._publish_cascade([self._revocation_event(ref, reason)],
-                                  [record], single=True)
+            self._publish_cascade(
+                [self._revocation_event(ref, reason, cause)], [record],
+                single=True)
             return True
         finally:
             span.finish(self.clock())
 
-    def _collapse_subtree(self, revoked: List[Tuple[CredentialRecord, str]],
+    def _collapse_subtree(self, revoked: List[CredentialRecord],
+                          reason: str, cause: str,
                           parent_ctx: Optional[SpanContext] = None,
                           ) -> Tuple[List[Event], List[CredentialRecord]]:
         """Collapse the local dependent subtree of already-revoked roots.
+
+        The roots were revoked for ``reason`` in a cascade started for
+        ``cause``; each dependent below them is revoked for
+        ``"membership dependency <parent> revoked (<cause>)"``.
 
         Breadth-first over the reverse dependency index; every reached
         credential is marked revoked, audited, unlinked from the index,
@@ -1130,14 +1154,15 @@ class OasisService:
         # (one guard for the whole traversal); the span-carrying variant
         # lives in :meth:`_collapse_subtree_observed`.
         if self._obs is not None:
-            return self._collapse_subtree_observed(revoked, parent_ctx)
+            return self._collapse_subtree_observed(revoked, reason, cause,
+                                                   parent_ctx)
         events: List[Event] = []
         flipped: List[CredentialRecord] = []
         # Storeless (the default) skips flip collection entirely — the
         # per-record branch keeps this hot loop's cost identical to the
         # pre-refactor body (the memory_backend_overhead bench gate).
         collect = flipped.append if self._persist is not None else None
-        queue = deque(revoked)
+        queue = deque((record, reason) for record in revoked)
         while queue:
             record, reason = queue.popleft()
             ref = record.ref
@@ -1148,12 +1173,12 @@ class OasisService:
             self._unlink_dependencies(record)
             if collect is not None:
                 collect(record)
-            events.append(self._revocation_event(ref, reason))
+            events.append(self._revocation_event(ref, reason, cause))
             dependents = self._dependents.get(ref.qualified)
             if not dependents:
                 continue
             dependent_reason = (f"membership dependency {ref} revoked "
-                                f"({reason})")
+                                f"({cause})")
             for dependent_ref in list(dependents):
                 dependent = self._records.get(dependent_ref)
                 if dependent is None or not dependent.revoke(
@@ -1165,7 +1190,7 @@ class OasisService:
         return events, flipped
 
     def _collapse_subtree_observed(
-            self, revoked: List[Tuple[CredentialRecord, str]],
+            self, revoked: List[CredentialRecord], reason: str, cause: str,
             parent_ctx: Optional[SpanContext] = None,
             ) -> Tuple[List[Event], List[CredentialRecord]]:
         """Span-carrying variant of :meth:`_collapse_subtree`.
@@ -1187,7 +1212,7 @@ class OasisService:
         width = 0
         max_depth = 1
         queue: deque = deque((record, reason, parent_ctx, 1)
-                             for record, reason in revoked)
+                             for record in revoked)
         while queue:
             record, reason, ctx, depth = queue.popleft()
             ref = record.ref
@@ -1208,8 +1233,9 @@ class OasisService:
             # Span context rides on the event so a service that picks it
             # up later (batched delivery) can parent its own cascade spans
             # under this one.
-            events.append(self._revocation_event(ref, reason).with_attributes(
-                trace_id=span.trace_id, span_id=span.span_id))
+            events.append(self._revocation_event(
+                ref, reason, cause).with_attributes(
+                    trace_id=span.trace_id, span_id=span.span_id))
             self._record_decision(
                 "revocation", "revoked",
                 record.principal.value if record.principal else "-",
@@ -1219,7 +1245,7 @@ class OasisService:
                 span.finish(self.clock())
                 continue
             dependent_reason = (f"membership dependency {ref} revoked "
-                                f"({reason})")
+                                f"({cause})")
             child_ctx = span.context
             for dependent_ref in list(dependents):
                 dependent = self._records.get(dependent_ref)
@@ -1236,8 +1262,14 @@ class OasisService:
             self._obs_cascade_depth.observe(max_depth)
         return events, flipped
 
-    def _revocation_event(self, ref: CredentialRef, reason: str) -> Event:
+    def _revocation_event(self, ref: CredentialRef, reason: str,
+                          cause: str) -> Event:
         """The CREDENTIAL_REVOKED event for ``ref``'s Fig. 5 channel.
+
+        A dependent's event carries its cascade's root reason as
+        ``cause`` (a root's event leaves it out: its reason is the
+        cause), so a subscriber in another service or process composes
+        the same reason text as the batched local collapse.
 
         Channels are *virtual* on the issuer side: the channel identity is
         the CRR string carried on every event, so nothing per-credential
@@ -1246,8 +1278,12 @@ class OasisService:
         gates every call site, which is what the former per-credential
         ``CredentialChannel`` object's ``closed`` flag duplicated.
         """
+        if cause == reason:
+            return Event.make(CREDENTIAL_REVOKED, timestamp=self.clock(),
+                              credential_ref=ref.qualified, reason=reason)
         return Event.make(CREDENTIAL_REVOKED, timestamp=self.clock(),
-                          credential_ref=ref.qualified, reason=reason)
+                          credential_ref=ref.qualified, reason=reason,
+                          cause=cause)
 
     def deactivate_role(self, rmc: RoleMembershipCertificate,
                         reason: str = "deactivated by principal") -> bool:
@@ -1277,16 +1313,16 @@ class OasisService:
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return
-        reason = (f"membership dependency {ref_string} revoked "
-                  f"({event.get('reason')})")
-        seeds: List[Tuple[CredentialRecord, str]] = []
+        cause = _revocation_cause(event)
+        reason = f"membership dependency {ref_string} revoked ({cause})"
+        seeds: List[CredentialRecord] = []
         for dependent_ref in list(dependents):
             record = self._records.get(dependent_ref)
             if record is None or not record.revoke(reason, self.clock()):
                 continue
             self.stats.revocations += 1
             self.stats.cascade_revocations += 1
-            seeds.append((record, reason))
+            seeds.append(record)
         if seeds:
             parent_ctx: Optional[SpanContext] = None
             if self._obs is not None:
@@ -1296,7 +1332,8 @@ class OasisService:
                     # Stitch: the publishing service put its cascade span's
                     # context on the event; our local subtree hangs off it.
                     parent_ctx = SpanContext(trace_id, span_id)
-            events, flipped = self._collapse_subtree(seeds, parent_ctx)
+            events, flipped = self._collapse_subtree(seeds, reason, cause,
+                                                     parent_ctx)
             self._publish_cascade(events, flipped)
 
     def _on_dependency_revoked(self, dependent: CredentialRef,
@@ -1306,9 +1343,10 @@ class OasisService:
         if record is None or not record.active:
             return
         self.stats.cascade_revocations += 1
-        self.revoke(dependent,
-                    f"membership dependency {event.get('credential_ref')} "
-                    f"revoked ({event.get('reason')})")
+        cause = _revocation_cause(event)
+        self._revoke(dependent,
+                     f"membership dependency {event.get('credential_ref')} "
+                     f"revoked ({cause})", cause)
 
     # ------------------------------------------------------------------
     # Membership constraint monitoring

@@ -117,6 +117,7 @@ class EventBroker:
         # filter; they must be considered for every event on the topic.
         self._wildcards: Dict[str, Dict[int, Subscription]] = {}
         self._taps: List[Handler] = []
+        self._drain_hooks: List[Callable[[], None]] = []
         self._publishing = False
         self._queue: Deque[Event] = deque()
         self.published_count = 0
@@ -171,6 +172,23 @@ class EventBroker:
         def remove() -> None:
             if handler in self._taps:
                 self._taps.remove(handler)
+
+        return remove
+
+    def add_drain_hook(self, hook: Callable[[], None]) -> Callable[[], None]:
+        """Register ``hook`` to run each time an outermost publish ends.
+
+        A top-level :meth:`publish` / :meth:`publish_batch` drains every
+        event it transitively causes (nested cascades included) before
+        the hook runs, so a hook sees one call per whole cascade — the
+        boundary a transport batches on.  Hooks must not publish.
+        Returns a remove function.
+        """
+        self._drain_hooks.append(hook)
+
+        def remove() -> None:
+            if hook in self._drain_hooks:
+                self._drain_hooks.remove(hook)
 
         return remove
 
@@ -303,6 +321,9 @@ class EventBroker:
                     own_deliveries += delivered
         finally:
             self._publishing = False
+            if self._drain_hooks:
+                for hook in tuple(self._drain_hooks):
+                    hook()
         return own_deliveries
 
     def _candidates(self, event: Event) -> List[Subscription]:

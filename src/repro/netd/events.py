@@ -4,8 +4,8 @@ Two halves:
 
 * :class:`EventPump` — server side.  Taps the process-local
   :class:`~repro.events.EventBroker` and pushes every *locally-minted*
-  event to subscribed connections as coalesced
-  ``{"push": "events", ...}`` frames.  Events whose attributes carry
+  event to subscribed connections as ``{"push": "events", ...}``
+  frames, one per cascade.  Events whose attributes carry
   ``net_origin`` arrived from another process and are **not** forwarded
   — that single rule is the loop-breaker that lets two servers
   subscribe to each other (or a chain P1→P2→P3 relay hop by hop)
@@ -31,8 +31,8 @@ uses, so anything that can be journalled can cross a process boundary.
 from __future__ import annotations
 
 import asyncio
-import threading
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from ..events import Event, EventBroker
 from .protocol import MAX_FRAME, OasisNetError, read_frame, send_frame
@@ -45,45 +45,48 @@ NET_ORIGIN = "net_origin"
 
 
 class EventPump:
-    """Collects locally-minted broker events and pushes them to
-    subscribed connections in coalesced batches.
+    """Collects locally-minted broker events and pushes each cascade's
+    events to subscribed connections as one frame.
 
     The broker delivers on the server's worker thread (service handlers
-    run there); the pump only *appends to a list* on that thread and
-    schedules one flush on the event loop, so the tap adds O(1) work to
-    the revocation hot path regardless of subscriber count.
-
-    ``coalesce_window`` delays the flush a few milliseconds so a
-    synchronous cascade's whole event batch lands in ONE push frame
-    instead of racing the loop into per-event frames; it is the latency
-    cost of batching and deliberately tiny.
+    run there); the tap only *appends to a list* on that thread, so it
+    adds O(1) work per event to the revocation hot path regardless of
+    subscriber count.  When the broker's outermost drain ends — the
+    cascade one top-level publish caused is complete, nested publishes
+    included — the drain hook seals the list as one batch and schedules
+    a flush on the event loop with a single ``call_soon_threadsafe``.
+    Every batch leaves as one push frame, in drain order, the moment
+    its cascade ends.
     """
 
     def __init__(self, node: str, loop: asyncio.AbstractEventLoop,
-                 max_frame: int = MAX_FRAME,
-                 coalesce_window: float = 0.005) -> None:
+                 max_frame: int = MAX_FRAME) -> None:
         self.node = node
         self._loop = loop
         self._max_frame = max_frame
-        self._coalesce_window = coalesce_window
-        self._lock = threading.Lock()
+        # Worker thread only: the cascade being drained right now.
         self._pending: List[Dict[str, Any]] = []
-        self._flush_scheduled = False
+        # Sealed batches: appended by the worker thread, popped on the
+        # loop (deque append/popleft are atomic).
+        self._ready: Deque[List[Dict[str, Any]]] = deque()
+        self._flushes: Set["asyncio.Task[int]"] = set()
         self._senders: Dict[int, Callable[[Dict[str, Any]],
                                           "asyncio.Future[Any]"]] = {}
         self._next_key = 0
-        self._untap: Optional[Callable[[], None]] = None
+        self._unhook: List[Callable[[], None]] = []
         self.pushed_events = 0
         self.pushed_batches = 0
         self.skipped_events = 0
+        self.dropped_events = 0
 
     def attach(self, broker: EventBroker) -> None:
-        self._untap = broker.add_tap(self._tap)
+        self._unhook = [broker.add_tap(self._tap),
+                        broker.add_drain_hook(self._drained)]
 
     def detach(self) -> None:
-        if self._untap is not None:
-            self._untap()
-            self._untap = None
+        for remove in self._unhook:
+            remove()
+        self._unhook = []
 
     @property
     def subscriber_count(self) -> int:
@@ -99,7 +102,7 @@ class EventPump:
     def unsubscribe(self, key: int) -> None:
         self._senders.pop(key, None)
 
-    # -- broker tap (worker thread) -----------------------------------------
+    # -- broker tap and drain hook (worker thread) --------------------------
     def _tap(self, event: Event) -> None:
         if event.get(NET_ORIGIN) is not None:
             self.skipped_events += 1
@@ -111,37 +114,44 @@ class EventPump:
             # boundary; such events are process-local by construction.
             self.skipped_events += 1
             return
-        with self._lock:
-            self._pending.append(payload)
-            if self._flush_scheduled:
-                return
-            self._flush_scheduled = True
-        self._loop.call_soon_threadsafe(self._schedule_flush)
+        self._pending.append(payload)
+
+    def _drained(self) -> None:
+        if not self._pending:
+            return
+        self._ready.append(self._pending)
+        self._pending = []
+        self._loop.call_soon_threadsafe(self._start_flush)
 
     # -- flush (event loop) -------------------------------------------------
-    def _schedule_flush(self) -> None:
-        self._loop.call_later(self._coalesce_window,
-                              lambda: self._loop.create_task(self.flush()))
+    def _start_flush(self) -> None:
+        task = self._loop.create_task(self.flush())
+        self._flushes.add(task)
+        task.add_done_callback(self._flushes.discard)
 
     async def flush(self) -> int:
-        """Push everything pending as one batch; returns events pushed."""
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-            self._flush_scheduled = False
-        if not batch or not self._senders:
-            return 0
-        push = {"push": "events", "origin": self.node, "events": batch}
-        self.pushed_events += len(batch)
-        self.pushed_batches += 1
-        for key, sender in list(self._senders.items()):
-            try:
-                await sender(push)
-            except (OasisNetError, ConnectionError, OSError):
-                # The connection handler notices the dead socket itself;
-                # dropping the sender here just stops repeat failures.
-                self._senders.pop(key, None)
-        return len(batch)
+        """Push every sealed batch, one frame each; returns events
+        pushed.  A batch nobody is subscribed to is dropped and counted
+        in ``dropped_events``."""
+        pushed = 0
+        while self._ready:
+            batch = self._ready.popleft()
+            if not self._senders:
+                self.dropped_events += len(batch)
+                continue
+            push = {"push": "events", "origin": self.node, "events": batch}
+            self.pushed_events += len(batch)
+            self.pushed_batches += 1
+            pushed += len(batch)
+            for key, sender in list(self._senders.items()):
+                try:
+                    await sender(push)
+                except (OasisNetError, ConnectionError, OSError):
+                    # The connection handler notices the dead socket
+                    # itself; dropping the sender here just stops repeat
+                    # failures.
+                    self._senders.pop(key, None)
+        return pushed
 
 
 class EventChannel:

@@ -320,6 +320,7 @@ class OasisServer(OpHost):
                 "pushed_events": pump.pushed_events if pump else 0,
                 "pushed_batches": pump.pushed_batches if pump else 0,
                 "skipped_events": pump.skipped_events if pump else 0,
+                "dropped_events": pump.dropped_events if pump else 0,
             },
             "handshake": {
                 "pending": self._challenges.pending_count,

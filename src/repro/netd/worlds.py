@@ -234,11 +234,18 @@ def ehr_national(ctx: NodeContext) -> World:
 
 def bench_world(ctx: NodeContext) -> World:
     """One service with a free role — the minimal target for measuring
-    raw RPC overhead (activation throughput, revocation latency)."""
+    raw RPC overhead (activation throughput, revocation latency) — and
+    a ``delegate`` role holding ``user`` as a membership condition, so
+    revoking a user cascades."""
     policy = ServicePolicy(ServiceId("bench", "svc"))
     user = policy.define_role("user", 1)
     policy.add_activation_rule(
         ActivationRule(RoleTemplate(user, (Var("u"),))))
+    delegate = policy.define_role("delegate", 1)
+    policy.add_activation_rule(ActivationRule(
+        RoleTemplate(delegate, (Var("u"),)),
+        (PrerequisiteRole(RoleTemplate(user, (Var("u"),)),
+                          membership=True),)))
     policy.add_authorization_rule(AuthorizationRule(
         "echo", (Var("x"),),
         (PrerequisiteRole(RoleTemplate(user, (Var("u"),))),)))

@@ -109,6 +109,16 @@ class TestDiamond:
         assert "membership dependency" in snap["reasons"]["D"]
         assert "logout" in snap["reasons"]["D"]
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_reason_names_the_root_cause_once(self, batched):
+        """Two hops below the root, the reason names the direct
+        dependency and the root reason, not the whole chain."""
+        snap = collapse_diamond(indexed=True, batched=batched)
+        reasons = snap["reasons"]
+        assert reasons["B"].startswith("membership dependency dom/A#")
+        assert reasons["D"].count("membership dependency") == 1
+        assert reasons["D"].endswith(" revoked (logout)")
+
     def test_indexed_broker_matches_naive_broker_exactly(self):
         """Same subscriptions, same events: every counter must agree."""
         assert collapse_diamond(indexed=True, batched=True) \

@@ -70,12 +70,101 @@ class TestEventPump:
             Event.make(CREDENTIAL_REVOKED, credential_ref=f"svc#{i}")
             for i in range(10)])
         assert done.wait(5)
-        # One flush for the whole batch: the coalesce window outlasts a
-        # synchronous publish_batch by orders of magnitude.
+        # One push for the whole batch: the pump seals a batch only when
+        # the broker's outermost drain ends, after the last event.
         assert sum(len(p["events"]) for p in pushes) == 10
         assert pump.pushed_batches == 1
         assert len(pushes[0]["events"]) == 10
         pump.detach()
+
+    def test_nested_publish_rides_in_the_same_push(self, loop):
+        """A handler publishing during delivery extends the cascade: both
+        events leave in one push, in drain order."""
+        broker = EventBroker()
+        broker.subscribe(
+            CREDENTIAL_REVOKED,
+            lambda event: broker.publish(Event.make(
+                CREDENTIAL_REVOKED, credential_ref="svc#child")),
+            credential_ref="svc#root")
+        pump = EventPump("n", loop.loop)
+        pump.attach(broker)
+        pushes = []
+        done = threading.Event()
+
+        async def sender(push):
+            pushes.append(push)
+            done.set()
+        pump.subscribe(sender)
+        broker.publish(Event.make(CREDENTIAL_REVOKED,
+                                  credential_ref="svc#root"))
+        assert done.wait(5)
+        assert [[e["attributes"] for e in p["events"]] for p in pushes] == \
+            [[[["credential_ref", "svc#root"]],
+              [["credential_ref", "svc#child"]]]]
+        assert pump.pushed_batches == 1
+        assert pump.pushed_events == 2
+        pump.detach()
+
+    def test_each_top_level_publish_is_its_own_push(self, loop):
+        broker = EventBroker()
+        pump = EventPump("n", loop.loop)
+        pump.attach(broker)
+        pushes = []
+        both = threading.Event()
+
+        async def sender(push):
+            pushes.append(push)
+            if len(pushes) == 2:
+                both.set()
+        pump.subscribe(sender)
+        broker.publish(Event.make(CREDENTIAL_REVOKED, credential_ref="svc#1"))
+        broker.publish(Event.make(CREDENTIAL_REVOKED, credential_ref="svc#2"))
+        assert both.wait(5)
+        assert [[e["attributes"] for e in p["events"]] for p in pushes] == \
+            [[[["credential_ref", "svc#1"]]], [[["credential_ref", "svc#2"]]]]
+        assert pump.pushed_batches == 2
+        pump.detach()
+
+    def test_unsubscribed_batch_counted_as_dropped(self, loop):
+        broker = EventBroker()
+        pump = EventPump("n", loop.loop)
+        pump.attach(broker)
+        broker.publish_batch([
+            Event.make(CREDENTIAL_REVOKED, credential_ref=f"svc#{i}")
+            for i in range(3)])
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and pump.dropped_events < 3:
+            time.sleep(0.01)
+        assert pump.dropped_events == 3
+        assert pump.pushed_batches == 0
+        pump.detach()
+
+    def test_served_cascade_leaves_in_one_push(self, loop):
+        """A served revoke whose cascade flips N credentials raises
+        ``pushed_batches`` by exactly 1 and ``pushed_events`` by N."""
+        node = Node("cascade", bench_world, loop)
+        sink = Collector()
+        try:
+            channel = EventChannel("cascade", "127.0.0.1", node.port, sink)
+            loop.run(TestEventChannel._start(channel))
+            loop.run(channel.wait_connected(5))
+            client = node.client()
+            user = client.activate("svc", "alice", "user", ["alice"])
+            delegates = 3
+            for _ in range(delegates):
+                client.activate("svc", "alice", "delegate", ["alice"],
+                                credentials=[user])
+            before = client.stats()["pump"]
+            assert client.revoke(user.ref, "bye")
+            flipped = 1 + delegates
+            assert len(sink.wait(flipped)) == flipped
+            after = client.stats()["pump"]
+            assert after["pushed_batches"] - before["pushed_batches"] == 1
+            assert after["pushed_events"] - before["pushed_events"] == flipped
+            client.close()
+            loop.run(channel.stop())
+        finally:
+            node.close()
 
     def test_remote_origin_events_not_reforwarded(self, loop):
         """An event that *arrived* over the wire must not be pushed back
