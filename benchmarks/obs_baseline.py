@@ -11,7 +11,7 @@ touched on those hot paths:
 * :class:`UninstrumentedEngine` — ``match_activation`` without the
   pipeline guard and ``_solve_indexed`` without the step-counter closure
   selection.
-* :class:`UninstrumentedService` — ``_audit``, ``_revoke``,
+* :class:`UninstrumentedService` — ``_audit``, ``revoke``,
   ``_collapse_subtree`` and ``_on_revoked_event`` without guards, span
   context plumbing, or cascade width/depth accounting.
 
@@ -117,23 +117,14 @@ class UninstrumentedService(OasisService):
         self.access_log.record(self.clock(), kind, principal, subject,
                                detail, reason)
 
-    def _revoke(self, ref, reason: str, cause: str) -> bool:
+    def revoke(self, ref, reason: str = "revoked") -> bool:
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
         self.stats.revocations += 1
-        if self._batched_cascades:
-            events = self._collapse_subtree([record], reason, cause)
-            if events:
-                self.broker.publish_batch(events)
-            return True
-        self._audit(AccessKind.REVOCATION,
-                    record.principal.value if record.principal else "-",
-                    str(ref), reason=reason)
-        self._teardown_watch(ref)
-        for subscription in self._dependency_subs.pop(ref, []):
-            subscription.cancel()
-        self.broker.publish(self._revocation_event(ref, reason, cause))
+        events = self._collapse_subtree([record], reason, reason)
+        if events:
+            self.broker.publish_batch(events)
         return True
 
     def _collapse_subtree(self, revoked: List[CredentialRecord],
@@ -171,8 +162,6 @@ class UninstrumentedService(OasisService):
             return
         if self._sig_cache.pop(ref_string, None) is not None:
             self.stats.sig_cache_invalidations += 1
-        if not self._batched_cascades:
-            return
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return

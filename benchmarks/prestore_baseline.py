@@ -11,7 +11,7 @@ the same way ``seed_engine.py`` vendors the pre-optimization solver,
 ``obs_baseline.py`` the pre-instrumentation bodies and
 ``unslotted_baseline.py`` the pre-sweep representation:
 
-* :meth:`PreStoreService._revoke` / ``_collapse_subtree`` /
+* :meth:`PreStoreService.revoke` / ``_collapse_subtree`` /
   ``_on_revoked_event`` — inline ``publish_batch``, no cascade-journal
   hook, no per-record mirror guard;
 * ``_issue_rmc`` — no serial-watermark guard;
@@ -81,19 +81,8 @@ class PreStoreService(OasisService):
                         environment: Dict[str, Any]) -> None:
         ref = record.ref
         self._records[ref] = record
-        if self._batched_cascades:
-            for dependency in record.membership_dependencies:
-                self._link_dependent(dependency.qualified, ref)
-        else:
-            subs = []
-            for dependency in record.membership_dependencies:
-                subs.append(self.broker.subscribe(
-                    CREDENTIAL_REVOKED,
-                    lambda event, dep=ref: self._on_dependency_revoked(
-                        dep, event),
-                    credential_ref=str(dependency)))
-            if subs:
-                self._dependency_subs[ref] = subs
+        for dependency in record.membership_dependencies:
+            self._link_dependent(dependency.qualified, ref)
         constraints = match.membership_constraints()
         if constraints:
             watch = _MembershipWatch(
@@ -106,25 +95,16 @@ class PreStoreService(OasisService):
             self._watches[ref] = watch
 
     # -- revocation cascade --------------------------------------------
-    def _revoke(self, ref: CredentialRef, reason: str, cause: str) -> bool:
+    def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
         if self._obs is not None:
-            return self._revoke_observed(record, ref, reason, cause)
+            return self._revoke_observed(record, ref, reason)
         self.stats.revocations += 1
-        if self._batched_cascades:
-            events = self._collapse_subtree([record], reason, cause)
-            if events:
-                self.broker.publish_batch(events)
-            return True
-        self._audit(AccessKind.REVOCATION,
-                    record.principal.value if record.principal else "-",
-                    str(ref), reason=reason)
-        self._teardown_watch(ref)
-        for subscription in self._dependency_subs.pop(ref, []):
-            subscription.cancel()
-        self.broker.publish(self._revocation_event(ref, reason, cause))
+        events = self._collapse_subtree([record], reason, reason)
+        if events:
+            self.broker.publish_batch(events)
         return True
 
     def _collapse_subtree(self, revoked: List[CredentialRecord],
@@ -167,8 +147,6 @@ class PreStoreService(OasisService):
             return
         if self._sig_cache.pop(ref_string, None) is not None:
             self.stats.sig_cache_invalidations += 1
-        if not self._batched_cascades:
-            return
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return

@@ -1,11 +1,11 @@
 """The seed (pre-optimization) rule engine, vendored for benchmarking.
 
 ``benchmarks/harness.py`` reports the optimized engine's speedup *over the
-seed engine*.  The in-tree reference path (``RuleEngine(optimized=False)``)
-is no longer that baseline: it shares the rewritten persistent
-:class:`Substitution`, cached rule partitions and other fast-path work with
-the optimized solver — it exists to check *solution equivalence*, not to
-preserve seed performance.  This module snapshots the seed's actual hot
+seed engine*.  The tests' naive reference solver
+(``tests/oracles.NaiveRuleEngine``) is not that baseline: it shares the
+rewritten persistent :class:`Substitution`, cached rule partitions and
+other fast-path work with the optimized solver — it exists to check
+*solution equivalence*, not to preserve seed performance.  This module snapshots the seed's actual hot
 path (commit ``635568b``): the dict-copying ``Substitution`` whose ``bind``
 re-validates every binding, and the solver that linearly scans all
 presented credentials per condition and slices condition lists per step.

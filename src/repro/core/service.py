@@ -215,7 +215,6 @@ class OasisService:
                  secret: Optional[ServiceSecret] = None,
                  heartbeat_timeout: Optional[float] = None,
                  access_log: Optional[AccessLog] = None,
-                 batched_cascades: bool = True,
                  store: Optional[RecordStore] = _STORE_UNSET,
                  allocator: Optional[CredentialRefAllocator] = None) -> None:
         self.policy = policy
@@ -269,15 +268,11 @@ class OasisService:
         # the very same dict objects the state core owns, so the storeless
         # configuration is bit-identical to the pre-refactor layout.
         self._records = self._state.records
-        # Fig. 5 dependency edges, consolidated.  The default (batched)
-        # mode keeps a reverse index ``dependency ref string -> ordered set
-        # of local dependent refs`` behind ONE service-level subscription;
-        # issuing/tearing down a credential is O(dependencies) dict work
-        # and a revocation cascade collapses the whole local subtree in a
-        # single pass.  ``batched_cascades=False`` retains the original
-        # per-dependency Subscription objects (``_dependency_subs``) and
-        # per-event recursive revocation as a reference path for
-        # differential tests and the seed cascade benchmark.
+        # Fig. 5 dependency edges, consolidated: a reverse index
+        # ``dependency ref string -> ordered set of local dependent refs``
+        # behind ONE service-level subscription.  Issuing or tearing down
+        # a credential is O(dependencies) dict work, and a revocation
+        # cascade collapses the whole local subtree in a single pass.
         #
         # Bucket representation is adaptive: a plain insertion-ordered list
         # up to ``_EDGE_LIST_MAX`` dependents (the common case — a
@@ -286,11 +281,9 @@ class OasisService:
         # ordered dict keyed by ref beyond that so high-fanout unlink stays
         # O(1).  Both shapes iterate in insertion order, so cascade order
         # is identical either way.
-        self._batched_cascades = batched_cascades
         self._dependents = self._state.dependents
         self._link_dependent = self._state.link_dependent
         self._unlink_dependencies = self._state.unlink_dependencies
-        self._dependency_subs: Dict[CredentialRef, List[Subscription]] = {}
         self._watches = self._state.watches
         self._methods: Dict[str, Callable[..., Any]] = {}
         # validation cache, two-level: ref -> {(requester, holder-claim)};
@@ -311,9 +304,9 @@ class OasisService:
         self._sig_cache = self._state.sig_cache
         # One service-level (wildcard) subscription covers every
         # CREDENTIAL_REVOKED consumer in this service — the signature-cache
-        # drop and, in batched mode, the cascade probe over the reverse
-        # dependency index — so a revocation event costs one handler call
-        # per *service*, not one per concern or per dependency edge.
+        # drop and the cascade probe over the reverse dependency index —
+        # so a revocation event costs one handler call per *service*, not
+        # one per concern or per dependency edge.
         self._service_subs = [
             broker.subscribe(CREDENTIAL_REVOKED, self._on_revoked_event),
             broker.subscribe(CREDENTIAL_REISSUED, self._on_sig_cache_event),
@@ -414,9 +407,6 @@ class OasisService:
                  len(self._watches)),
                 ({"service": service, "kind": "dependency_edges"},
                  sum(len(bucket) for bucket in self._dependents.values())),
-                ({"service": service, "kind": "dependency_subscriptions"},
-                 sum(len(subs)
-                     for subs in self._dependency_subs.values())),
                 ({"service": service, "kind": "sig_cache_refs"},
                  len(self._sig_cache))])
         yield ("oasis_memory_access_log", "gauge",
@@ -741,8 +731,8 @@ class OasisService:
         activation conditions held and supplies the membership dependency
         edges that rule matching would have produced.  Everything
         downstream is identical to the rule-driven path — signed
-        certificate, credential record, event channel, reverse-index (or
-        per-edge subscription) wiring, audit entry, ``rmcs_issued`` counter
+        certificate, credential record, event channel, reverse-index
+        wiring, audit entry, ``rmcs_issued`` counter
         — so revocation cascades and callback validation behave exactly as
         if each RMC had come from :meth:`activate_role`.  Membership
         *constraint* watches are not installed (there is no rule match to
@@ -759,12 +749,8 @@ class OasisService:
         secret = self.secret
         service_id = self.id
         records = self._records
-        broker = self.broker
-        batched = self._batched_cascades
         link = self._link_dependent
         rmcs: List[RoleMembershipCertificate] = []
-        subscribe_entries: List[Tuple[Any, Dict[str, Any]]] = []
-        subscribe_owners: List[Tuple[CredentialRef, int]] = []
         for ref, (principal, role, dependencies, session_id) \
                 in zip(refs, entries):
             rmc = RoleMembershipCertificate.issue(
@@ -774,28 +760,11 @@ class OasisService:
                 membership_dependencies=tuple(dependencies),
                 session_id=session_id)
             records[ref] = record
-            if batched:
-                for dependency in record.membership_dependencies:
-                    link(dependency.qualified, ref)
-            elif record.membership_dependencies:
-                first = len(subscribe_entries)
-                for dependency in record.membership_dependencies:
-                    subscribe_entries.append((
-                        lambda event, dep=ref: self._on_dependency_revoked(
-                            dep, event),
-                        {"credential_ref": dependency.qualified}))
-                subscribe_owners.append(
-                    (ref, len(subscribe_entries) - first))
+            for dependency in record.membership_dependencies:
+                link(dependency.qualified, ref)
             self._audit(AccessKind.ACTIVATION, principal.value,
                         str(role.role_name), detail=role.parameters)
             rmcs.append(rmc)
-        if subscribe_entries:
-            subs = broker.subscribe_many(CREDENTIAL_REVOKED,
-                                         subscribe_entries)
-            cursor = 0
-            for ref, width in subscribe_owners:
-                self._dependency_subs[ref] = subs[cursor:cursor + width]
-                cursor += width
         if self._persist is not None:
             # One store round trip for the whole batch (write-behind on
             # serialising backends, dict.update on the memory backend).
@@ -1016,46 +985,30 @@ class OasisService:
 
         Returns False when the credential was already revoked or unknown.
 
-        In the default batched mode the whole *local* dependent subtree is
-        collapsed in one reverse-index traversal and its revocation events
-        are published as a coalesced batch (drained FIFO, so the global
-        cascade stays breadth-first); other services pick the events up
-        through their own service-level subscriptions — the cross-service
-        hand-off of Fig. 5 is unchanged.
+        The whole *local* dependent subtree is collapsed in one
+        reverse-index traversal and its revocation events are published
+        as a coalesced batch (drained FIFO, so the global cascade stays
+        breadth-first); other services pick the events up through their
+        own service-level subscriptions — the cross-service hand-off of
+        Fig. 5.
 
         Every dependent's reason names its own dependency and the root
         ``reason`` once — ``"membership dependency <ref> revoked
         (<reason>)"`` — however deep the cascade runs; the root reason
         rides on each event as its ``cause``.
         """
-        return self._revoke(ref, reason, reason)
-
-    def _revoke(self, ref: CredentialRef, reason: str, cause: str) -> bool:
-        """:meth:`revoke` inside a cascade whose root reason is ``cause``
-        (the unbatched path revokes each dependent this way)."""
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
         if self._obs is not None:
-            return self._revoke_observed(record, ref, reason, cause)
+            return self._revoke_observed(record, ref, reason)
         self.stats.revocations += 1
-        if self._batched_cascades:
-            events, flipped = self._collapse_subtree([record], reason, cause)
-            self._publish_cascade(events, flipped)
-            return True
-        self._audit(AccessKind.REVOCATION,
-                    record.principal.value if record.principal else "-",
-                    str(ref), reason=reason)
-        self._teardown_watch(ref)
-        for subscription in self._dependency_subs.pop(ref, []):
-            subscription.cancel()
-        self._publish_cascade([self._revocation_event(ref, reason, cause)],
-                              [record], single=True)
+        events, flipped = self._collapse_subtree([record], reason, reason)
+        self._publish_cascade(events, flipped)
         return True
 
     def _publish_cascade(self, events: List[Event],
-                         records: Sequence[CredentialRecord] = (),
-                         single: bool = False) -> None:
+                         records: Sequence[CredentialRecord]) -> None:
         """Publish a cascade's revocation events, crash-consistently.
 
         With a store attached the events are journalled with ONE durable
@@ -1077,52 +1030,29 @@ class OasisService:
             return
         persist = self._persist
         if persist is None:
-            if single:
-                self.broker.publish(events[0])
-            else:
-                self.broker.publish_batch(events)
+            self.broker.publish_batch(events)
             return
         seq = self._state.log_cascade(events)
         for record in records:
             self._state.mark_revoked(record)
-        if single:
-            self.broker.publish(events[0])
-        else:
-            self.broker.publish_batch(events)
+        self.broker.publish_batch(events)
         self._state.log_cascade_done(seq)
 
     def _revoke_observed(self, record: CredentialRecord, ref: CredentialRef,
-                         reason: str, cause: str) -> bool:
+                         reason: str) -> bool:
         """Tail of :meth:`revoke` under a root ``revoke`` span.
 
         The batch is published *inside* the span: the broker delivers
-        synchronously, so every downstream handler (including unbatched
-        per-edge cascades on other services) runs with this span on the
-        tracer stack and stitches into the same trace automatically.
+        synchronously, so every downstream handler runs with this span on
+        the tracer stack and stitches into the same trace automatically.
         """
         span = self._obs.tracer.start_span(
             "revoke", timestamp=self.clock(), service=str(self.id),
             credential_ref=str(ref), reason=reason)
         try:
             self.stats.revocations += 1
-            if self._batched_cascades:
-                events, flipped = self._collapse_subtree([record], reason,
-                                                         cause)
-                self._publish_cascade(events, flipped)
-                return True
-            self._audit(AccessKind.REVOCATION,
-                        record.principal.value if record.principal else "-",
-                        str(ref), reason=reason)
-            self._record_decision(
-                "revocation", "revoked",
-                record.principal.value if record.principal else "-",
-                str(ref), reason=reason, span=span)
-            self._teardown_watch(ref)
-            for subscription in self._dependency_subs.pop(ref, []):
-                subscription.cancel()
-            self._publish_cascade(
-                [self._revocation_event(ref, reason, cause)], [record],
-                single=True)
+            events, flipped = self._collapse_subtree([record], reason, reason)
+            self._publish_cascade(events, flipped)
             return True
         finally:
             span.finish(self.clock())
@@ -1140,9 +1070,8 @@ class OasisService:
         Breadth-first over the reverse dependency index; every reached
         credential is marked revoked, audited, unlinked from the index,
         and contributes exactly one ``CREDENTIAL_REVOKED`` event (its
-        channel closes here), matching the per-credential event count of
-        the unbatched reference path.  Cost is O(collapsed subtree), not
-        O(live credentials).
+        channel closes here).  Cost is O(collapsed subtree), not O(live
+        credentials).
 
         Returns the events and the flipped records.  The traversal itself
         never touches the store — :meth:`_publish_cascade` mirrors the
@@ -1269,7 +1198,7 @@ class OasisService:
         A dependent's event carries its cascade's root reason as
         ``cause`` (a root's event leaves it out: its reason is the
         cause), so a subscriber in another service or process composes
-        the same reason text as the batched local collapse.
+        the same reason text as the local collapse.
 
         Channels are *virtual* on the issuer side: the channel identity is
         the CRR string carried on every event, so nothing per-credential
@@ -1297,8 +1226,7 @@ class OasisService:
         """Service-level entry point for every CREDENTIAL_REVOKED event.
 
         Two dict probes per event: drop any cached signature verifications
-        for the credential, then (batched mode) probe the reverse
-        dependency index.  Only events whose credential has local
+        for the credential, then probe the reverse dependency index.  Only events whose credential has local
         dependents cost more, and then only O(local subtree).  Events this
         service published itself find their buckets already unlinked and
         fall through immediately.
@@ -1308,8 +1236,6 @@ class OasisService:
             return
         if self._sig_cache.pop(ref_string, None) is not None:
             self.stats.sig_cache_invalidations += 1
-        if not self._batched_cascades:
-            return
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return
@@ -1336,18 +1262,6 @@ class OasisService:
                                                      parent_ctx)
             self._publish_cascade(events, flipped)
 
-    def _on_dependency_revoked(self, dependent: CredentialRef,
-                               event: Event) -> None:
-        # Reference (unbatched) path: one handler per dependency edge.
-        record = self._records.get(dependent)
-        if record is None or not record.active:
-            return
-        self.stats.cascade_revocations += 1
-        cause = _revocation_cause(event)
-        self._revoke(dependent,
-                     f"membership dependency {event.get('credential_ref')} "
-                     f"revoked ({cause})", cause)
-
     # ------------------------------------------------------------------
     # Membership constraint monitoring
     # ------------------------------------------------------------------
@@ -1355,21 +1269,10 @@ class OasisService:
                         environment: Dict[str, Any]) -> None:
         ref = record.ref
         # The state core installs the record (mirroring it to the store)
-        # and, in batched mode, registers every membership dependency: the
-        # edge along which the Fig. 5 cascade travels (O(dependencies)
-        # bucket inserts, no broker churn).  The reference path subscribes
-        # per dependency instead.
-        self._state.install(record, link=self._batched_cascades)
-        if not self._batched_cascades:
-            subs = []
-            for dependency in record.membership_dependencies:
-                subs.append(self.broker.subscribe(
-                    CREDENTIAL_REVOKED,
-                    lambda event, dep=ref: self._on_dependency_revoked(
-                        dep, event),
-                    credential_ref=str(dependency)))
-            if subs:
-                self._dependency_subs[ref] = subs
+        # and registers every membership dependency: the edge along which
+        # the Fig. 5 cascade travels (O(dependencies) bucket inserts, no
+        # broker churn).
+        self._state.install(record)
         constraints = match.membership_constraints()
         if constraints:
             watch = _MembershipWatch(
@@ -1656,8 +1559,7 @@ class OasisService:
                network: Optional[Any] = None,
                cache_validations: bool = True,
                heartbeat_timeout: Optional[float] = None,
-               access_log: Optional[AccessLog] = None,
-               batched_cascades: bool = True) -> "OasisService":
+               access_log: Optional[AccessLog] = None) -> "OasisService":
         """Rebuild a service from its record store after a restart.
 
         Loads the stored secret (certificates signed before the crash keep
@@ -1683,8 +1585,7 @@ class OasisService:
                       databases=databases, network=network,
                       cache_validations=cache_validations, secret=None,
                       heartbeat_timeout=heartbeat_timeout,
-                      access_log=access_log,
-                      batched_cascades=batched_cascades, store=store)
+                      access_log=access_log, store=store)
         service._recover()
         return service
 

@@ -12,16 +12,15 @@ order so the cascade is breadth-first and terminates even with cyclic
 subscription graphs, since the OASIS layer never re-revokes an already
 revoked credential.
 
-Dispatch is *indexed*: subscriptions whose filter includes the broker's
-designated index key (``credential_ref`` by default — every Fig. 5 channel
-event carries it) are bucketed under ``(topic, value)``, so delivering an
-event costs O(matching + wildcard subscribers on the topic) rather than
-O(all topic subscribers).  The FIG5 cascade revokes S credentials against
-a population of N live subscriptions; the naive scan made that O(S·N),
-the index makes it O(S · services).  ``EventBroker(indexed=False)``
-retains the naive linear scan as a reference path; a differential test
-(``tests/events/test_broker_differential.py``) checks both paths deliver
-identical sequences.
+Dispatch is *indexed*: subscriptions whose filter includes the index key
+(``credential_ref`` — every Fig. 5 channel event carries it) are bucketed
+under ``(topic, value)``, so delivering an event costs O(matching +
+wildcard subscribers on the topic) rather than O(all topic subscribers).
+The FIG5 cascade revokes S credentials against a population of N live
+subscriptions; a naive scan makes that O(S·N), the index makes it
+O(S · services).  ``tests/events/test_broker_differential.py`` checks the
+index delivers exactly what a naive linear scan (``tests/oracles.py``)
+delivers.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ Handler = Callable[[Event], None]
 #: Distinguishes broker instances in exported metric labels.
 _BROKER_COUNTER = itertools.count(1)
 
-#: The default equality-filter key the dispatch index is built on.  Every
+#: The equality-filter key the dispatch index is built on.  Every
 #: per-credential channel event (revocation, re-issue, heartbeat) carries
 #: this attribute, so the index covers all Fig. 5 traffic.
-DEFAULT_INDEX_KEY = "credential_ref"
+INDEX_KEY = "credential_ref"
 
 #: Sentinel distinguishing "attribute absent" from any real value during
 #: residual filter checks (an event attribute can legitimately be None).
@@ -57,8 +56,8 @@ _MISSING = object()
 class Subscription:
     """A live subscription; call :meth:`cancel` to stop receiving events.
 
-    Slotted: the Fig. 5 architecture takes one subscription per dependency
-    edge, so a scale world carries hundreds of thousands of these.
+    Slotted: every cached validation holds one (its ECR channel), so a
+    scale world carries many of these.
     """
 
     topic: str
@@ -67,7 +66,7 @@ class Subscription:
     _broker: "EventBroker"
     _active: bool = True
     #: Global registration order; delivery merges index buckets and
-    #: wildcard lists on it so indexed dispatch preserves the naive order.
+    #: wildcard lists on it so delivery follows registration order.
     seq: int = field(default=0)
     #: Filters still to check at delivery time, given where the broker
     #: placed this subscription: a bucketed subscription's index-key
@@ -84,15 +83,6 @@ class Subscription:
             self._active = False
             self._broker._remove(self)
 
-    def matches(self, event: Event) -> bool:
-        if event.topic != self.topic:
-            return False
-        attrs = event.attrs
-        for key, want in self.filter_attrs.items():
-            if key not in attrs or attrs[key] != want:
-                return False
-        return True
-
 
 class EventBroker:
     """Topic-based pub/sub broker with attribute filtering.
@@ -102,10 +92,7 @@ class EventBroker:
     event-driven revocation against polling.
     """
 
-    def __init__(self, indexed: bool = True,
-                 index_key: str = DEFAULT_INDEX_KEY) -> None:
-        self._indexed = indexed
-        self._index_key = index_key
+    def __init__(self) -> None:
         self._seq = itertools.count(1)
         # topic -> {seq: Subscription}; authoritative registry.  Dicts keep
         # insertion (= registration) order and give O(1) removal by seq.
@@ -152,14 +139,6 @@ class EventBroker:
                "live subscriptions",
                [({"broker": broker}, self.subscriber_count())])
 
-    @property
-    def indexed(self) -> bool:
-        return self._indexed
-
-    @property
-    def index_key(self) -> str:
-        return self._index_key
-
     def add_tap(self, handler: Handler) -> Callable[[], None]:
         """Register a tap that sees *every* delivered event, any topic.
 
@@ -202,63 +181,14 @@ class EventBroker:
                            seq=next(self._seq))
         sub.residual = tuple(sub.filter_attrs.items())
         self._subs.setdefault(topic, {})[sub.seq] = sub
-        if self._indexed:
-            if self._index_key in sub.filter_attrs:
-                key = (topic, sub.filter_attrs[self._index_key])
-                self._buckets.setdefault(key, {})[sub.seq] = sub
-                sub.residual = tuple(
-                    (k, v) for k, v in sub.residual if k != self._index_key)
-            else:
-                self._wildcards.setdefault(topic, {})[sub.seq] = sub
+        if INDEX_KEY in sub.filter_attrs:
+            key = (topic, sub.filter_attrs[INDEX_KEY])
+            self._buckets.setdefault(key, {})[sub.seq] = sub
+            sub.residual = tuple(
+                (k, v) for k, v in sub.residual if k != INDEX_KEY)
+        else:
+            self._wildcards.setdefault(topic, {})[sub.seq] = sub
         return sub
-
-    def subscribe_many(self, topic: str,
-                       entries: Iterable[Tuple[Handler, Mapping[str, Any]]],
-                       ) -> List[Subscription]:
-        """Register a batch of subscriptions on one topic in one pass.
-
-        Equivalent to calling :meth:`subscribe` per entry (same registration
-        order, same delivery semantics) but the per-call overhead — topic
-        registry lookup, index-key classification, residual-filter
-        construction — is paid once per *shape* instead of once per
-        subscription.  The dominant caller is bulk credential issuance,
-        where every entry filters on exactly the index key
-        (``credential_ref=...``): that shape short-circuits to an empty
-        residual without rebuilding filter tuples.
-        """
-        if not topic:
-            raise ValueError("topic must be non-empty")
-        batch = [(handler, dict(filter_attrs))
-                 for handler, filter_attrs in entries]
-        if not batch:
-            return []
-        registry = self._subs.setdefault(topic, {})
-        indexed = self._indexed
-        index_key = self._index_key
-        seq_counter = self._seq
-        buckets = self._buckets
-        wildcards: Optional[Dict[int, Subscription]] = None
-        subs: List[Subscription] = []
-        for handler, attrs in batch:
-            sub = Subscription(topic=topic, handler=handler,
-                               filter_attrs=attrs, _broker=self,
-                               seq=next(seq_counter))
-            if indexed and index_key in attrs:
-                if len(attrs) == 1:
-                    sub.residual = ()
-                else:
-                    sub.residual = tuple(
-                        (k, v) for k, v in attrs.items() if k != index_key)
-                buckets.setdefault((topic, attrs[index_key]), {})[sub.seq] = sub
-            else:
-                sub.residual = tuple(attrs.items())
-                if indexed:
-                    if wildcards is None:
-                        wildcards = self._wildcards.setdefault(topic, {})
-                    wildcards[sub.seq] = sub
-            registry[sub.seq] = sub
-            subs.append(sub)
-        return subs
 
     def subscriber_count(self, topic: Optional[str] = None) -> int:
         if topic is None:
@@ -328,12 +258,10 @@ class EventBroker:
 
     def _candidates(self, event: Event) -> List[Subscription]:
         """Subscriptions that may match ``event``, in registration order."""
-        if not self._indexed:
-            return list(self._subs.get(event.topic, {}).values())
         wildcards = self._wildcards.get(event.topic)
         bucket = None
         for key, value in event.attributes:
-            if key == self._index_key:
+            if key == INDEX_KEY:
                 bucket = self._buckets.get((event.topic, value))
                 break
         # An event without the index key cannot match any indexed
@@ -343,7 +271,8 @@ class EventBroker:
         if not wildcards:
             return list(bucket.values())
         # Merge the two registration-ordered lists by seq so delivery
-        # order is identical to the naive scan's.
+        # follows registration order, as a scan of all topic subscribers
+        # would.
         merged: List[Subscription] = []
         left = iter(bucket.values())
         right = iter(wildcards.values())
@@ -399,10 +328,8 @@ class EventBroker:
         if subs is not None and subs.pop(sub.seq, None) is not None:
             if not subs:
                 del self._subs[sub.topic]
-        if not self._indexed:
-            return
-        if self._index_key in sub.filter_attrs:
-            key = (sub.topic, sub.filter_attrs[self._index_key])
+        if INDEX_KEY in sub.filter_attrs:
+            key = (sub.topic, sub.filter_attrs[INDEX_KEY])
             bucket = self._buckets.get(key)
             if bucket is not None:
                 bucket.pop(sub.seq, None)
@@ -437,8 +364,7 @@ class EventBroker:
             entry["subscriptions"] += len(bucket)
             entry["largest"] = max(entry["largest"], len(bucket))
         return {
-            "indexed": self._indexed,
-            "index_key": self._index_key,
+            "index_key": INDEX_KEY,
             "published_count": self.published_count,
             "delivered_count": self.delivered_count,
             "subscriptions": self.subscriber_count(),

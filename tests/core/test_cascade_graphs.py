@@ -2,15 +2,13 @@
 
 The Fig. 5 cascade is exercised on diamonds (a dependent reachable along
 two paths), on a dependency shared by two sessions, and on re-activation
-after a collapse.  Each scenario is additionally run under every
-combination of broker dispatch (indexed / naive scan) and cascade mode
-(batched reverse-index / per-dependency subscriptions) and the observable
-outcomes are asserted identical: every credential is revoked exactly once,
-with the same reason, and the broker's published/delivered counters match
-the naive reference path.
+after a collapse.  Each scenario is checked against the transitive-closure
+oracle over the recorded membership dependencies (``tests/oracles.py``):
+exactly the closure is revoked, each credential with exactly one
+``CREDENTIAL_REVOKED`` event, in breadth-first order, with the reason
+naming its direct dependency and the root cause.  The diamond also runs
+under the naive-scan broker, and every observable must agree.
 """
-
-import pytest
 
 from repro.core import (
     ActivationRule,
@@ -26,16 +24,50 @@ from repro.core import (
 from repro.events import CREDENTIAL_REVOKED, EventBroker, EventLog
 from repro.net import SimClock
 
+from tests.oracles import NaiveScanBroker, expected_reasons, revocation_closure
+
+
+def revoke_against_closure(services, log, ref, reason):
+    """Revoke ``ref`` at its issuer and check the cascade against the
+    transitive-closure oracle over ``services``' recorded dependencies."""
+    services = list(services)
+    by_id = {service.id: service for service in services}
+    closure = revocation_closure(services, ref)
+    survivors = [record.ref for service in services
+                 for record in service.active_credentials()
+                 if record.ref not in closure]
+    seen = len(log.events(CREDENTIAL_REVOKED))
+    revocations = sum(s.stats.revocations for s in services)
+    cascades = sum(s.stats.cascade_revocations for s in services)
+
+    assert by_id[ref.service].revoke(ref, reason)
+
+    # Exactly one event per closure member, in breadth-first order.
+    order = [event.get("credential_ref")
+             for event in log.events(CREDENTIAL_REVOKED)[seen:]]
+    assert order == [str(member) for member in closure]
+    for member, want in expected_reasons(closure, reason).items():
+        record = by_id[member.service].credential_record(member)
+        assert not record.active
+        assert record.revoked_reason == want
+    assert all(by_id[other.service].is_active(other) for other in survivors)
+    assert sum(s.stats.revocations for s in services) \
+        == revocations + len(closure)
+    assert sum(s.stats.cascade_revocations for s in services) \
+        == cascades + len(closure) - 1
+    return closure
+
 
 class DiamondWorld:
-    """root A; B and C each require A (membership); D requires B and C."""
+    """root A; B and C each require A (membership); D requires B and C.
 
-    def __init__(self, indexed: bool = True, batched: bool = True) -> None:
+    ``indexed=False`` runs it over the naive-scan reference broker."""
+
+    def __init__(self, indexed: bool = True) -> None:
         self.clock = SimClock()
-        self.broker = EventBroker(indexed=indexed)
+        self.broker = EventBroker() if indexed else NaiveScanBroker()
         self.registry = ServiceRegistry()
         self.log = EventLog(self.broker)
-        self.batched = batched
         a, a_role = self._service("A", ())
         b, b_role = self._service("B", (a_role,))
         c, c_role = self._service("C", (a_role,))
@@ -51,7 +83,7 @@ class DiamondWorld:
             tuple(PrerequisiteRole(p, membership=True)
                   for p in prerequisites)))
         service = OasisService(policy, self.broker, self.registry,
-                               self.clock, batched_cascades=self.batched)
+                               self.clock)
         return service, template
 
     def build_session(self, user="u"):
@@ -63,7 +95,7 @@ class DiamondWorld:
         return session, rmcs
 
     def snapshot(self, rmcs):
-        """Everything the cascade modes must agree on."""
+        """Everything the broker dispatch modes must agree on."""
         revocation_events = self.log.events(CREDENTIAL_REVOKED)
         per_ref = {}
         for event in revocation_events:
@@ -87,8 +119,8 @@ class DiamondWorld:
         }
 
 
-def collapse_diamond(indexed, batched):
-    world = DiamondWorld(indexed=indexed, batched=batched)
+def collapse_diamond(indexed):
+    world = DiamondWorld(indexed=indexed)
     _, rmcs = world.build_session()
     world.services["A"].revoke(rmcs["A"].ref, "logout")
     return world.snapshot(rmcs)
@@ -96,7 +128,7 @@ def collapse_diamond(indexed, batched):
 
 class TestDiamond:
     def test_every_credential_revoked_exactly_once(self):
-        snap = collapse_diamond(indexed=True, batched=True)
+        snap = collapse_diamond(indexed=True)
         assert snap["active"] == {"A": False, "B": False,
                                   "C": False, "D": False}
         assert all(count == 1 for count in snap["events_per_ref"].values())
@@ -105,15 +137,14 @@ class TestDiamond:
         assert snap["cascades"] == 3
 
     def test_diamond_reason_composes_along_one_path(self):
-        snap = collapse_diamond(indexed=True, batched=True)
+        snap = collapse_diamond(indexed=True)
         assert "membership dependency" in snap["reasons"]["D"]
         assert "logout" in snap["reasons"]["D"]
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_reason_names_the_root_cause_once(self, batched):
+    def test_reason_names_the_root_cause_once(self):
         """Two hops below the root, the reason names the direct
         dependency and the root reason, not the whole chain."""
-        snap = collapse_diamond(indexed=True, batched=batched)
+        snap = collapse_diamond(indexed=True)
         reasons = snap["reasons"]
         assert reasons["B"].startswith("membership dependency dom/A#")
         assert reasons["D"].count("membership dependency") == 1
@@ -121,26 +152,21 @@ class TestDiamond:
 
     def test_indexed_broker_matches_naive_broker_exactly(self):
         """Same subscriptions, same events: every counter must agree."""
-        assert collapse_diamond(indexed=True, batched=True) \
-            == collapse_diamond(indexed=False, batched=True)
+        assert collapse_diamond(indexed=True) \
+            == collapse_diamond(indexed=False)
 
-    def test_batched_cascade_matches_subscription_cascade(self):
-        """The batched reverse-index cascade must be observationally
-        identical to the per-dependency-subscription reference path —
-        except for delivered_count, whose subscription structure differs
-        by construction (one service-level subscription vs one per edge).
-        """
-        batched = collapse_diamond(indexed=False, batched=True)
-        legacy = collapse_diamond(indexed=False, batched=False)
-        for key in ("active", "reasons", "event_order", "events_per_ref",
-                    "published_count", "revocations", "cascades"):
-            assert batched[key] == legacy[key], key
+    def test_cascade_matches_closure_oracle(self):
+        world = DiamondWorld()
+        _, rmcs = world.build_session()
+        closure = revoke_against_closure(world.services.values(), world.log,
+                                         rmcs["A"].ref, "logout")
+        assert list(closure) == [rmcs[name].ref for name in "ABCD"]
 
 
 class LocalDiamondWorld:
     """The diamond inside ONE service: a local subtree collapse."""
 
-    def __init__(self, batched: bool = True) -> None:
+    def __init__(self) -> None:
         self.clock = SimClock()
         self.broker = EventBroker()
         self.registry = ServiceRegistry()
@@ -156,7 +182,7 @@ class LocalDiamondWorld:
                 tuple(PrerequisiteRole(templates[p], membership=True)
                       for p in prereqs)))
         self.service = OasisService(policy, self.broker, self.registry,
-                                    self.clock, batched_cascades=batched)
+                                    self.clock)
 
     def build(self):
         principal = Principal("u")
@@ -185,25 +211,12 @@ class TestLocalDiamond:
         assert all(world.service.dependent_count(rmc.ref) == 0
                    for rmc in rmcs.values())
 
-    def test_matches_legacy_event_counts(self):
-        results = []
-        for batched in (True, False):
-            world = LocalDiamondWorld(batched=batched)
-            rmcs = world.build()
-            world.service.revoke(rmcs["a"].ref, "logout")
-            per_ref = {}
-            for event in world.log.events(CREDENTIAL_REVOKED):
-                ref = event.get("credential_ref")
-                per_ref[ref] = per_ref.get(ref, 0) + 1
-            results.append({
-                "per_ref": per_ref,
-                "published": world.broker.published_count,
-                "revocations": world.service.stats.revocations,
-                "cascades": world.service.stats.cascade_revocations,
-                "reasons": {name: world.service.credential_record(
-                    rmc.ref).revoked_reason for name, rmc in rmcs.items()},
-            })
-        assert results[0] == results[1]
+    def test_cascade_matches_closure_oracle(self):
+        world = LocalDiamondWorld()
+        rmcs = world.build()
+        closure = revoke_against_closure([world.service], world.log,
+                                         rmcs["a"].ref, "logout")
+        assert list(closure) == [rmcs[name].ref for name in "abcd"]
 
 
 class TestSharedDependencyAcrossSessions:
@@ -246,6 +259,22 @@ class TestSharedDependencyAcrossSessions:
         hospital.admin.revoke(appointment.ref, "reallocated")
         assert hospital.records.stats.cascade_revocations == 2
 
+    def test_cascade_matches_closure_oracle(self, hospital):
+        doctor = hospital.new_doctor("d1", "p1")
+        appointment = doctor.appointments()[0]
+        treating = []
+        for _ in range(2):
+            session = doctor.start_session(hospital.login, "logged_in_user",
+                                           ["d1"])
+            treating.append(session.activate(
+                hospital.records, "treating_doctor",
+                use_appointments=[appointment]))
+        log = EventLog(hospital.broker)
+        closure = revoke_against_closure(
+            hospital.registry.all_services(), log, appointment.ref,
+            "reallocated")
+        assert list(closure) == [appointment.ref] + [t.ref for t in treating]
+
 
 class TestReactivationAfterCascade:
     def test_fresh_credentials_after_collapse_cascade_again(self, hospital):
@@ -283,3 +312,31 @@ class TestReactivationAfterCascade:
         assert hospital.records.dependent_count(first.root_rmc.ref) == 1
         hospital.login.revoke(first.root_rmc.ref, "logout")
         assert not hospital.records.is_active(treating_2.ref)
+
+    def test_cascades_match_closure_oracle(self, hospital):
+        """Each round's cascade, and the one after a re-activation, is
+        exactly the closure of the live dependencies at that moment."""
+        doctor = hospital.new_doctor("d1", "p1")
+        log = EventLog(hospital.broker)
+        services = hospital.registry.all_services()
+        for round_number in range(2):
+            session = doctor.start_session(hospital.login, "logged_in_user",
+                                           ["d1"])
+            treating = session.activate(
+                hospital.records, "treating_doctor",
+                use_appointments=doctor.appointments())
+            closure = revoke_against_closure(
+                services, log, session.root_rmc.ref,
+                f"logout-{round_number}")
+            assert list(closure) == [session.root_rmc.ref, treating.ref]
+
+        session = doctor.start_session(hospital.login, "logged_in_user",
+                                       ["d1"])
+        stale = session.activate(hospital.records, "treating_doctor",
+                                 use_appointments=doctor.appointments())
+        revoke_against_closure(services, log, stale.ref, "suspension")
+        fresh = session.activate(hospital.records, "treating_doctor",
+                                 use_appointments=doctor.appointments())
+        closure = revoke_against_closure(services, log,
+                                         session.root_rmc.ref, "logout")
+        assert list(closure) == [session.root_rmc.ref, fresh.ref]

@@ -29,7 +29,7 @@ from repro.core.access_log import AccessKind
 from repro.core.exceptions import CredentialInvalid, CredentialRevoked
 from repro.core.state import ServiceStateCodec
 from repro.crypto import ServiceSecret
-from repro.db import SqliteRecordStore
+from repro.db import MemoryRecordStore, SqliteRecordStore
 from repro.events import EventBroker
 from repro.net.sim import SimNetwork
 
@@ -66,26 +66,31 @@ def resource_policy():
 
 
 class World:
-    """login (root) -> resource (mid -> leaf), both SQLite-file backed."""
+    """login (root) -> resource (mid -> leaf), both SQLite-file backed.
+
+    ``backend="memory"`` backs both with a :class:`MemoryRecordStore`
+    instead; a restart then resumes in-process from the same store
+    object."""
 
     def __init__(self, tmp_path, tag, login_secret, resource_secret,
-                 flush_every=1024):
+                 flush_every=1024, backend="sqlite"):
         self.paths = {"login": str(tmp_path / f"{tag}-login.db"),
                       "resource": str(tmp_path / f"{tag}-resource.db")}
+        self.memory_stores = {}
+        if backend == "memory":
+            self.memory_stores = {
+                name: MemoryRecordStore(codec=ServiceStateCodec())
+                for name in self.paths}
         self.broker = EventBroker()
         self.registry = ServiceRegistry()
         self.login = OasisService(
             login_policy(), self.broker, self.registry,
             secret=login_secret,
-            store=SqliteRecordStore(self.paths["login"],
-                                    codec=ServiceStateCodec(),
-                                    flush_every=flush_every))
+            store=self.open_store("login", flush_every=flush_every))
         self.resource = OasisService(
             resource_policy(), self.broker, self.registry,
             secret=resource_secret,
-            store=SqliteRecordStore(self.paths["resource"],
-                                    codec=ServiceStateCodec(),
-                                    flush_every=flush_every))
+            store=self.open_store("resource", flush_every=flush_every))
         self.resource.register_method("use", lambda user: f"ok[{user}]")
         self.roots, self.mids, self.leaves = [], [], []
         for index in range(N_PRINCIPALS):
@@ -101,6 +106,12 @@ class World:
             self.roots.append(root)
             self.mids.append(mid)
             self.leaves.append(leaf)
+
+    def open_store(self, name, **options):
+        if self.memory_stores:
+            return self.memory_stores[name]
+        return SqliteRecordStore(self.paths[name],
+                                 codec=ServiceStateCodec(), **options)
 
     def checkpoint(self):
         """Periodic durability point: records issued so far reach disk.
@@ -125,13 +136,11 @@ class World:
         self.broker = EventBroker()
         self.registry = ServiceRegistry()
         self.login = OasisService.resume(
-            SqliteRecordStore(self.paths["login"],
-                              codec=ServiceStateCodec()),
-            login_policy(), self.broker, self.registry)
+            self.open_store("login"), login_policy(), self.broker,
+            self.registry)
         self.resource = OasisService.resume(
-            SqliteRecordStore(self.paths["resource"],
-                              codec=ServiceStateCodec()),
-            resource_policy(), self.broker, self.registry)
+            self.open_store("resource"), resource_policy(), self.broker,
+            self.registry)
         self.resource.register_method("use", lambda user: f"ok[{user}]")
 
     def crash_publishes_after(self, allowed):
@@ -396,4 +405,34 @@ class TestKillAndResume:
         assert world.login.live_sessions() == before
         creds = world.login.session_credentials("s1")
         assert [record.ref for record in creds] == [world.roots[1].ref]
+        world.shutdown()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+class TestRevokeAfterResume:
+    def test_root_revoked_after_resume_collapses_every_dependent(
+            self, tmp_path, secrets, backend):
+        """The dependency edges must survive a restart: a root revoked
+        *after* every service resumed still collapses its dependents in
+        the other service, and the revoked chain grants nothing."""
+        world = World(tmp_path, "late", *secrets, backend=backend)
+        world.checkpoint()
+        world.crash()
+        world.resume()
+        assert world.login.replay_pending() == 0
+        assert world.resource.replay_pending() == 0
+
+        assert world.login.revoke(world.roots[0].ref, "logout")
+
+        for credential in (world.mids[0], world.leaves[0]):
+            record = world.resource.credential_record(credential.ref)
+            assert not record.active
+        assert world.resource.stats.cascade_revocations == 2
+        with pytest.raises(CredentialRevoked):
+            world.resource.invoke(
+                PrincipalId("p0"), "use", ["p0"],
+                credentials=[Presentation(world.leaves[0])])
+        # Other principals' chains are untouched.
+        assert all(world.resource.is_active(credential.ref)
+                   for credential in world.mids[1:] + world.leaves[1:])
         world.shutdown()

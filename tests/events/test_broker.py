@@ -190,8 +190,7 @@ class TestPublishBatch:
 
 class TestIndexedDispatch:
     def test_default_is_indexed_on_credential_ref(self, broker):
-        assert broker.indexed
-        assert broker.index_key == "credential_ref"
+        assert broker.stats()["index_key"] == "credential_ref"
 
     def test_bucketed_subscription_still_checks_other_filters(self, broker):
         seen = []

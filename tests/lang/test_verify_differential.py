@@ -49,6 +49,8 @@ from repro.lang.verify import (
 from repro.scenarios.healthcare import build_hospital, build_national_ehr
 from repro.scenarios.membership import build_clinic, build_galleries
 
+from tests.oracles import NaiveRuleEngine
+
 # A far-future expiry for the membership-card appointments whose expiry
 # parameter feeds a BeforeDeadlineConstraint (the deployments' simulated
 # clock starts at 0.0).
@@ -82,8 +84,11 @@ def add_ghost_privilege(service):
 
 
 def swap_engines(services, *, optimized):
+    """Run ``services`` on the product engine, or on the naive reference
+    engine when ``optimized`` is False."""
+    engine_cls = RuleEngine if optimized else NaiveRuleEngine
     for service in services.values():
-        service._engine = RuleEngine(service.context, optimized=optimized)
+        service._engine = engine_cls(service.context)
 
 
 def assert_reachable_replay(services, graph, closure, *, seeds=None,

@@ -35,10 +35,6 @@ class TestSnapshotsAreDefensive:
         assert fresh["published_count"] == published
         assert fresh["topics"] != {}
 
-    def test_broker_stats_reports_dispatch_mode(self):
-        assert EventBroker(indexed=True).stats()["indexed"] is True
-        assert EventBroker(indexed=False).stats()["indexed"] is False
-
 
 class TestAuditTraceIds:
     def test_audit_records_carry_the_active_trace_id(self):

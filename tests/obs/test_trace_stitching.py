@@ -5,7 +5,7 @@ trace tree: span context rides on the CREDENTIAL_REVOKED event
 attributes, so each service's local cascade pass parents its spans under
 the hop that triggered it.  The tree must agree with the revocation-order
 expectations of ``tests/core/test_cascade_graphs.py`` and be identical
-under indexed and naive broker dispatch.
+under indexed dispatch and the naive-scan reference broker.
 """
 
 from repro.obs.export import trace_to_dict
@@ -14,10 +14,10 @@ from repro.obs.runtime import observed
 from tests.core.test_cascade_graphs import DiamondWorld
 
 
-def _collapse_traced(indexed=True, batched=True):
+def _collapse_traced(indexed=True):
     """Collapse the diamond under a fresh pipeline; returns (obs, refs)."""
     with observed() as obs:
-        world = DiamondWorld(indexed=indexed, batched=batched)
+        world = DiamondWorld(indexed=indexed)
         _, rmcs = world.build_session()
         obs.tracer.reset()  # keep only the cascade, not the build-up
         world.services["A"].revoke(rmcs["A"].ref, "logout")
@@ -78,16 +78,3 @@ class TestDiamondStitching:
         indexed_tree = trace_to_dict(obs_indexed.tracer, "t0001")
         naive_tree = trace_to_dict(obs_naive.tracer, "t0001")
         assert indexed_tree == naive_tree
-
-    def test_unbatched_mode_still_yields_one_trace(self):
-        """Per-dependency-subscription cascades nest ``revoke`` spans
-        instead of a batched chain, but stitching still produces a single
-        trace covering all four credentials."""
-        for indexed in (True, False):
-            obs, refs = _collapse_traced(indexed=indexed, batched=False)
-            assert obs.tracer.trace_ids() == ["t0001"]
-            revoked = {span.attrs["credential_ref"]
-                       for span in obs.tracer.spans("t0001", name="revoke")}
-            assert revoked == set(refs.values())
-            (tree,) = obs.tracer.tree("t0001")
-            assert tree.span.attrs["credential_ref"] == refs["A"]
